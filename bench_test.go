@@ -637,14 +637,14 @@ func BenchmarkNetsimStepAllocs(b *testing.B) {
 	for u := range rngs {
 		rngs[u] = rand.New(rand.NewSource(1 + int64(u)*1_000_003))
 	}
-	sim.SetInjector(func(u int, _ int32, emit func(dst int32)) {
+	sim.SetInjector(func(u int, _ int32) {
 		rng := rngs[u]
 		if rng.Float64() < 0.2 {
 			dst := int32(rng.Intn(net.N - 1))
 			if int(dst) >= u {
 				dst++
 			}
-			emit(dst)
+			sim.Emit(u, dst)
 		}
 	})
 	for i := 0; i < 50; i++ { // fill the pipeline before measuring
@@ -656,6 +656,28 @@ func BenchmarkNetsimStepAllocs(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNetsimShortRun times one /v1/simulate-shaped random run end to
+// end — New's set-up plus 10 warm-up and 40 measured rounds at rate 0.1 on
+// HSN(3,Q3) — the set-up path BenchmarkNetsimStepAllocs never sees.
+func BenchmarkNetsimShortRun(b *testing.B) {
+	w := superipg.HSN(3, nucleus.Hypercube(3))
+	g, err := w.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	net, err := netsim.BuildSuperIPG(w, g, 8.0, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := netsim.RunRandomUniform(net, int64(i%4)+1, 0.1, 10, 40); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,9 +11,10 @@ package netsim
 // lengths to the routing decision.
 type AdaptiveRouter interface {
 	Router
-	// NextPortAdaptive returns the forwarding port given qlen(p), the
-	// number of packets currently waiting on port p at cur.
-	NextPortAdaptive(cur, dst int, qlen func(port int) int) int
+	// NextPortAdaptive returns the forwarding port given qlen[p], the
+	// number of packets currently waiting on port p at cur.  qlen is the
+	// simulator's live row: read it, never retain or modify it.
+	NextPortAdaptive(cur, dst int, qlen []int32) int
 }
 
 // AdaptiveHypercube routes minimally but adaptively on a hypercube whose
@@ -29,17 +30,17 @@ func (r AdaptiveHypercube) NextPort(cur, dst int) int {
 }
 
 // NextPortAdaptive implements AdaptiveRouter.
-func (r AdaptiveHypercube) NextPortAdaptive(cur, dst int, qlen func(port int) int) int {
+func (r AdaptiveHypercube) NextPortAdaptive(cur, dst int, qlen []int32) int {
 	diff := cur ^ dst
 	if diff == 0 {
 		return -1
 	}
-	best, bestLen := -1, 0
+	best, bestLen := -1, int32(0)
 	for b := 0; b < r.D; b++ {
 		if diff&(1<<b) == 0 {
 			continue
 		}
-		l := qlen(b)
+		l := qlen[b]
 		if best < 0 || l < bestLen {
 			best, bestLen = b, l
 		}
@@ -47,13 +48,11 @@ func (r AdaptiveHypercube) NextPortAdaptive(cur, dst int, qlen func(port int) in
 	return best
 }
 
-// routePort picks the forwarding port for a packet at node v, consulting
-// the adaptive interface when the router provides it.
+// routePort picks the forwarding port for a packet at node v, handing an
+// adaptive router v's row of live queue lengths (no allocation).
 func (s *Sim) routePort(v int, dst int32) int {
-	if ar, ok := s.Net.Router.(AdaptiveRouter); ok {
-		return ar.NextPortAdaptive(v, int(dst), func(port int) int {
-			return len(s.queues[v][port]) - s.qhead[v][port]
-		})
+	if s.adaptive != nil {
+		return s.adaptive.NextPortAdaptive(v, int(dst), s.qlen[s.arcOff[v]:s.arcOff[v+1]])
 	}
 	return s.Net.Router.NextPort(v, int(dst))
 }

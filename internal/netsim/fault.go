@@ -174,7 +174,7 @@ func killPorts(net *Network, u, v int) {
 func (s *Sim) resolveFaulty(v int, dst int32) int {
 	net := s.Net
 	p := s.routePort(v, dst)
-	if p >= 0 && p < len(s.queues[v]) && net.Ports.Port(v, p) >= 0 && !net.portDead(v, p) {
+	if p >= 0 && p < net.Ports.Arity(v) && net.Ports.Port(v, p) >= 0 && !net.portDead(v, p) {
 		return p
 	}
 	if p < 0 {
@@ -192,7 +192,7 @@ func (s *Sim) resolveFaulty(v int, dst int32) int {
 	if alive == 0 {
 		return -1
 	}
-	k := s.rngs[v].Intn(alive)
+	k := s.rngs[v].intn(alive)
 	for q := 0; q < np; q++ {
 		if net.Ports.Port(v, q) >= 0 && !net.portDead(v, q) {
 			if k == 0 {
@@ -214,9 +214,12 @@ func (s *Sim) resolveFaulty(v int, dst int32) int {
 // it delivers every packet whose destination survives in the same
 // component.
 type FaultAwareRouter struct {
-	net  *Network
-	n    int
-	dist []int16 // dist[u*n+dst] over alive links; -1 = unreachable
+	net *Network
+	n   int
+	// dist[dst*n+u] is u's distance to dst over alive links, -1 =
+	// unreachable: destination-major, so each BFS fills one contiguous
+	// row and a routing decision reads one row.
+	dist []int16
 }
 
 // NewFaultAwareRouter builds the distance table (O(N^2) memory, O(N*E)
@@ -231,44 +234,9 @@ func NewFaultAwareRouter(net *Network) (*FaultAwareRouter, error) {
 		return nil, fmt.Errorf("netsim: FaultAwareRouter limited to 16384 nodes, got %d", n)
 	}
 	r := &FaultAwareRouter{net: net, n: n, dist: make([]int16, n*n)}
-	for i := range r.dist {
-		r.dist[i] = -1
-	}
-	// Reverse adjacency over alive arcs only.
-	revOff := make([]uint32, n+1)
-	aliveArc := func(u, p int, v int32) bool {
-		return v >= 0 && int(v) != u && !net.nodeDead(u) && !net.portDead(u, p)
-	}
-	for u := 0; u < n; u++ {
-		for p, v := range net.Ports.PortRow(u) {
-			if aliveArc(u, p, v) {
-				revOff[v+1]++
-			}
-		}
-	}
-	for v := 0; v < n; v++ {
-		revOff[v+1] += revOff[v]
-	}
-	revSrc := make([]int32, revOff[n])
-	cursor := make([]uint32, n)
-	copy(cursor, revOff[:n])
-	for u := 0; u < n; u++ {
-		for p, v := range net.Ports.PortRow(u) {
-			if aliveArc(u, p, v) {
-				i := cursor[v]
-				revSrc[i] = int32(u)
-				cursor[v] = i + 1
-			}
-		}
-	}
+	revOff, revSrc, _ := aliveReverseCSR(net)
 	var next int64 = -1
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(1, min(runtime.GOMAXPROCS(0), n))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -280,31 +248,33 @@ func NewFaultAwareRouter(net *Network) (*FaultAwareRouter, error) {
 			for {
 				dst := int(atomic.AddInt64(&next, 1))
 				if dst >= n {
-					return
+					break
+				}
+				// Each destination owns row dst, so workers never touch
+				// the same entries.
+				row := r.dist[dst*n : (dst+1)*n]
+				for i := range row {
+					row[i] = -1
 				}
 				if net.nodeDead(dst) {
 					continue // all -1: nothing can be delivered there
 				}
-				// Each destination writes only its own column (u*n+dst),
-				// so workers never touch the same entries.
-				r.dist[dst*n+dst] = 0
-				queue = queue[:0]
-				queue = append(queue, int32(dst))
+				row[dst] = 0
+				queue = append(queue[:0], int32(dst))
 				for qi := 0; qi < len(queue); qi++ {
 					v := queue[qi]
-					dv := r.dist[int(v)*n+dst]
-					for i := revOff[v]; i < revOff[v+1]; i++ {
-						u := revSrc[i]
-						if r.dist[int(u)*n+dst] < 0 {
-							r.dist[int(u)*n+dst] = dv + 1
+					dv := row[v]
+					for _, u := range revSrc[revOff[v]:revOff[v+1]] {
+						if row[u] < 0 {
+							row[u] = dv + 1
 							queue = append(queue, u)
 						}
 					}
 				}
-				// Write any reallocated queue back so the pool keeps the
-				// grown buffer instead of the stale pre-append slice.
-				s.Queue = queue
 			}
+			// Hand any reallocated queue back so the pool keeps the grown
+			// buffer instead of the stale pre-append slice.
+			s.Queue = queue
 		}()
 	}
 	wg.Wait()
@@ -314,12 +284,13 @@ func NewFaultAwareRouter(net *Network) (*FaultAwareRouter, error) {
 // NextPort implements Router: the lowest alive port on a shortest alive
 // path, or -1 when dst is unreachable.
 func (r *FaultAwareRouter) NextPort(cur, dst int) int {
-	d := r.dist[cur*r.n+dst]
+	row := r.dist[dst*r.n : (dst+1)*r.n]
+	d := row[cur]
 	if d <= 0 {
 		return -1
 	}
 	for p, v := range r.net.Ports.PortRow(cur) {
-		if v >= 0 && !r.net.portDead(cur, p) && r.dist[int(v)*r.n+dst] == d-1 {
+		if v >= 0 && !r.net.portDead(cur, p) && row[v] == d-1 {
 			return p
 		}
 	}
@@ -329,18 +300,18 @@ func (r *FaultAwareRouter) NextPort(cur, dst int) int {
 // NextPortAdaptive implements AdaptiveRouter: among the alive minimal
 // ports, the one with the shortest local output queue (ties to the lowest
 // port).
-func (r *FaultAwareRouter) NextPortAdaptive(cur, dst int, qlen func(port int) int) int {
-	d := r.dist[cur*r.n+dst]
+func (r *FaultAwareRouter) NextPortAdaptive(cur, dst int, qlen []int32) int {
+	row := r.dist[dst*r.n : (dst+1)*r.n]
+	d := row[cur]
 	if d <= 0 {
 		return -1
 	}
-	best, bestLen := -1, 0
+	best, bestLen := -1, int32(0)
 	for p, v := range r.net.Ports.PortRow(cur) {
-		if v < 0 || r.net.portDead(cur, p) || r.dist[int(v)*r.n+dst] != d-1 {
+		if v < 0 || r.net.portDead(cur, p) || row[v] != d-1 {
 			continue
 		}
-		l := qlen(p)
-		if best < 0 || l < bestLen {
+		if l := qlen[p]; best < 0 || l < bestLen {
 			best, bestLen = p, l
 		}
 	}

@@ -153,7 +153,7 @@ func awareReachable(net *Network, r *FaultAwareRouter, perm []int32) int64 {
 		if int(d) == u || net.nodeDead(u) {
 			continue
 		}
-		if net.nodeDead(int(d)) || r.dist[u*r.n+int(d)] < 0 {
+		if net.nodeDead(int(d)) || r.dist[int(d)*r.n+u] < 0 {
 			continue
 		}
 		total++

@@ -126,7 +126,7 @@ func NewMultipathRouter(net *Network, treeFor TreeSource) (*MultipathRouter, err
 	for i := range r.port {
 		r.port[i] = -1
 	}
-	revOff, revSrc := aliveReverseCSR(net)
+	revOff, revSrc, _ := aliveReverseCSR(net)
 	var next int64 = -1
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
@@ -146,10 +146,10 @@ func NewMultipathRouter(net *Network, treeFor TreeSource) (*MultipathRouter, err
 			defer wg.Done()
 			s := topo.GetScratch(n)
 			defer topo.PutScratch(s)
-			dist := make([]int16, n)  // alive distance to dst, fallback tier
-			var state []int8          // per (tree, vertex): 0 unknown, 1 alive, 2 dead
-			var walk []int32          // upward-walk stack for memoization
-			var tp, fp, up int64      // local counters, flushed once
+			dist := make([]int16, n) // alive distance to dst, fallback tier
+			var state []int8         // per (tree, vertex): 0 unknown, 1 alive, 2 dead
+			var walk []int32         // upward-walk stack for memoization
+			var tp, fp, up int64     // local counters, flushed once
 			for {
 				dst := int(atomic.AddInt64(&next, 1))
 				if dst >= n {
@@ -238,40 +238,6 @@ func NewMultipathRouter(net *Network, treeFor TreeSource) (*MultipathRouter, err
 		return nil, firstErr
 	}
 	return r, nil
-}
-
-// aliveReverseCSR builds the reverse adjacency over alive arcs, the
-// same arc filter FaultAwareRouter uses for its distance tables.
-func aliveReverseCSR(net *Network) ([]uint32, []int32) {
-	n := net.N
-	revOff := make([]uint32, n+1)
-	aliveArc := func(u, p int, v int32) bool {
-		return v >= 0 && int(v) != u && !net.nodeDead(u) && !net.portDead(u, p)
-	}
-	for u := 0; u < n; u++ {
-		for p, v := range net.Ports.PortRow(u) {
-			if aliveArc(u, p, v) {
-				revOff[v+1]++
-			}
-		}
-	}
-	for v := 0; v < n; v++ {
-		revOff[v+1] += revOff[v]
-	}
-	revSrc := make([]int32, revOff[n])
-	cursor := make([]uint32, n)
-	copy(cursor, revOff[:n])
-	for u := 0; u < n; u++ {
-		for p, v := range net.Ports.PortRow(u) {
-			if aliveArc(u, p, v) {
-				i := cursor[v]
-				//lint:ignore indextrunc u < n <= 16384, well under math.MaxInt32
-				revSrc[i] = int32(u)
-				cursor[v] = i + 1
-			}
-		}
-	}
-	return revOff, revSrc
 }
 
 // treeAlive resolves (memoized) whether vertex v's tree-t root path

@@ -19,6 +19,14 @@
 // phases are data-race free; results are deterministic for a fixed seed
 // and worker-independent.
 //
+// State layout: every per-link quantity (queue, waiting count, token
+// credit, the batch in transit) is one flat slice indexed by arc, and a
+// count-then-fill reverse-arc index lists each node's incoming arcs, so
+// New is O(arcs) with a fixed number of allocations.  Each node draws its
+// traffic and fault diverts from its own splitmix64 stream, seeded in O(1)
+// by hashing (seed, node).  The table routers store their all-pairs
+// tables destination-major, one contiguous row per destination.
+//
 // Unlike the metric kernels in internal/topo and internal/graph, the
 // simulator is not generic over topo.Source: a simulation's per-node
 // queue and credit state is O(N) whatever the adjacency representation,
@@ -29,12 +37,12 @@
 // identically on either origin.
 package netsim
 
+//lint:file-ignore indextrunc node ids are < net.N (checkNodeCount), arc ids are < arcOff[N] (the port map bounds arcs to math.MaxUint32), ports are < Arity(u), and a transmitted batch is at most its queue's int32 length
 //lint:file-ignore ctxflow simulator setup and per-round sweeps are O(N) on networks capped by SimMaxNodes (enforced in serve) and checkNodeCount; the exported ...Ctx runners poll ctx once per round
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"sync"
 
@@ -195,16 +203,34 @@ func (s Stats) HopsPerPacket() float64 {
 	return float64(s.Hops) / float64(s.Delivered)
 }
 
-// Sim is a running simulation instance.
+// Sim is a running simulation instance.  Its per-link state is
+// arc-indexed: arc arcOff[u]+p is the directed link at port p of u, and
+// every per-link quantity is one flat slice over the arcs.
 type Sim struct {
 	Net *Network
 
-	queues  [][][]Packet // queues[u][p]: FIFO (head at index qhead)
-	qhead   [][]int
-	credits [][]float64
-	outbox  [][][]Packet // phase A results, consumed in phase B
+	arcOff []uint32 // u's arcs are [arcOff[u], arcOff[u+1])
+	// queues[a] is arc a's FIFO; its waiting packets are the last qlen[a]
+	// elements, the prefix before them was transmitted in earlier rounds.
+	queues [][]Packet
+	// qlen[a] counts the packets waiting on arc a; u's row
+	// qlen[arcOff[u]:arcOff[u+1]] is what adaptive routers see.
+	qlen    []int32
+	credits []float64 // token-bucket credit per arc
+	// sent[a] is the batch phase A transmitted on arc a this round: a view
+	// of queues[a]'s backing array, read and cleared in phase B by the
+	// arc's head node.  Phase B only appends past it, and the transmitted
+	// prefix is reclaimed in a later phase A, so the view stays intact.
+	sent [][]Packet
 
-	inLinks [][]inLink // per destination node: links arriving at it
+	// Reverse-arc index, built count-then-fill: the arcs arriving at v
+	// are in[inOff[v]:inOff[v+1]], ordered by (source, port) ascending.
+	inOff []uint32
+	in    []inArc
+
+	// adaptive is Net.Router's AdaptiveRouter view, or nil; resolved once
+	// so routing decisions do no interface assertion.
+	adaptive AdaptiveRouter
 
 	round   int32
 	stats   Stats
@@ -221,10 +247,6 @@ type Sim struct {
 	phaseBFn  func(lo, hi int)
 	curPhase  func(lo, hi int)
 	wg        sync.WaitGroup
-
-	// emitFns holds one persistent injection closure per node, replacing
-	// the per-node-per-round closure the injector used to receive.
-	emitFns []func(dst int32)
 
 	// Livelock detection: with fractional link capacities, rounds where
 	// nothing moves are legitimate while credits accumulate; only a streak
@@ -243,25 +265,34 @@ type Sim struct {
 	ttl0 int32
 
 	// injectFn, if set, is called in phase B for each node to produce new
-	// packets this round.
-	injectFn func(u int, round int32, emit func(dst int32))
+	// packets this round via Emit.
+	injectFn func(u int, round int32)
 
 	perNode []localStats
-	rngs    []*rand.Rand
+	rngs    []stream
+	// hist holds per-node delivery-latency histograms of histW buckets
+	// each (index = rounds, last bucket = overflow); nil unless
+	// EnableLatencyHistogram was called.  Node v owns row v, so updates
+	// are race-free under the phase-B sharding.
+	hist  []int64
+	histW int
 }
 
-type inLink struct {
-	src  int32
-	port int16
+// queueSeed is the per-arc queue capacity New carves from one arena.
+const queueSeed = 2
+
+// inArc is one entry of the reverse-arc index: the arc, and whether it
+// crosses chips.
+type inArc struct {
+	arc     uint32
+	offChip bool
 }
 
+// localStats is one node's counters: eight int64s, a 64-byte cache line,
+// so neighbouring shards do not falsely share them.
 type localStats struct {
 	delivered, latency, hops, offchip, injected, dropped, retried int64
-	_pad                                                          [1]int64 // reduce false sharing
-	// hist counts deliveries by latency (index = rounds, last bucket =
-	// overflow); nil unless EnableLatencyHistogram was called.  Node-local,
-	// so updates are race-free under the phase-B sharding.
-	hist []int64
+	moved                                                         int64 // packets received this round
 }
 
 // checkNodeCount validates that a node count fits the int32 node-id /
@@ -274,7 +305,9 @@ func checkNodeCount(n int) error {
 	return nil
 }
 
-// New creates a simulation for the network with the given PRNG seed.
+// New creates a simulation for the network with the given PRNG seed.  Its
+// set-up is O(arcs) with a fixed number of allocations: every per-node
+// and per-arc table is one flat slice.
 func New(net *Network, seed int64) (*Sim, error) {
 	if err := checkNodeCount(net.N); err != nil {
 		return nil, err
@@ -282,67 +315,84 @@ func New(net *Network, seed int64) (*Sim, error) {
 	if err := net.Validate(); err != nil {
 		return nil, err
 	}
+	n := net.N
 	s := &Sim{
 		Net:     net,
 		workers: runtime.GOMAXPROCS(0),
 		faulty:  net.Faulty(),
 	}
+	s.adaptive, _ = net.Router.(AdaptiveRouter)
 	if s.faulty {
 		s.ttl0 = net.PacketTTL
 		if s.ttl0 == 0 {
-			if ttl := 4*int64(net.N) + 64; ttl <= math.MaxInt32 {
+			if ttl := 4*int64(n) + 64; ttl <= math.MaxInt32 {
 				s.ttl0 = int32(ttl)
 			} else {
 				s.ttl0 = math.MaxInt32
 			}
 		}
 	}
-	if s.workers > net.N {
-		s.workers = net.N
+	s.workers = max(1, min(s.workers, n))
+	s.arcOff = make([]uint32, n+1)
+	for u := 0; u < n; u++ {
+		s.arcOff[u+1] = s.arcOff[u] + uint32(net.Ports.Arity(u))
 	}
-	if s.workers < 1 {
-		s.workers = 1
+	arcs := s.arcOff[n]
+	s.queues = make([][]Packet, arcs)
+	// Every queue starts as a queueSeed-packet window of one shared arena;
+	// only a queue that outgrows it reallocates.
+	arena := make([]Packet, int(arcs)*queueSeed)
+	for a := range s.queues {
+		s.queues[a] = arena[a*queueSeed : a*queueSeed : (a+1)*queueSeed]
 	}
-	s.queues = make([][][]Packet, net.N)
-	s.qhead = make([][]int, net.N)
-	s.credits = make([][]float64, net.N)
-	s.outbox = make([][][]Packet, net.N)
-	s.inLinks = make([][]inLink, net.N)
-	s.perNode = make([]localStats, net.N)
-	s.rngs = make([]*rand.Rand, net.N)
-	for u := 0; u < net.N; u++ {
-		np := net.Ports.Arity(u)
-		s.queues[u] = make([][]Packet, np)
-		s.qhead[u] = make([]int, np)
-		s.credits[u] = make([]float64, np)
-		s.outbox[u] = make([][]Packet, np)
-		s.rngs[u] = rand.New(rand.NewSource(seed + int64(u)*1_000_003))
+	s.qlen = make([]int32, arcs)
+	s.credits = make([]float64, arcs)
+	s.sent = make([][]Packet, arcs)
+	s.perNode = make([]localStats, n)
+	s.rngs = make([]stream, n)
+	for u := range s.rngs {
+		s.rngs[u] = newStream(seed, u)
 	}
+
+	// Reverse-arc index: count arrivals per head node into inOff[v+1],
+	// prefix-sum, fill using inOff[v] as v's cursor, then shift the
+	// advanced cursors back into offsets.
+	s.inOff = make([]uint32, n+1)
 	minCap := math.Inf(1)
-	for u := 0; u < net.N; u++ {
+	for u := 0; u < n; u++ {
 		for p, v := range net.Ports.PortRow(u) {
 			if v >= 0 {
-				s.inLinks[v] = append(s.inLinks[v], inLink{src: int32(u), port: int16(p)})
-				if c := net.Ports.Cap(u, p); c < minCap {
-					minCap = c
-				}
+				s.inOff[v+1]++
+				minCap = min(minCap, net.Ports.Cap(u, p))
 			}
 		}
 	}
+	for v := 0; v < n; v++ {
+		s.inOff[v+1] += s.inOff[v]
+	}
+	s.in = make([]inArc, s.inOff[n])
+	for u := 0; u < n; u++ {
+		for p, v := range net.Ports.PortRow(u) {
+			if v >= 0 {
+				s.in[s.inOff[v]] = inArc{arc: s.arcOff[u] + uint32(p), offChip: net.offChip(int32(u), v)}
+				s.inOff[v]++
+			}
+		}
+	}
+	copy(s.inOff[1:], s.inOff[:n])
+	s.inOff[0] = 0
+
 	s.maxIdle = 2
 	if minCap < 1 {
 		s.maxIdle = int(math.Ceil(1/minCap)) + 2
 	}
 	if net.SinglePort {
-		s.rrPort = make([]int, net.N)
+		s.rrPort = make([]int, n)
 	}
-	chunk := (net.N + s.workers - 1) / s.workers
-	for lo := 0; lo < net.N; lo += chunk {
-		hi := lo + chunk
-		if hi > net.N {
-			hi = net.N
-		}
-		s.ranges = append(s.ranges, [2]int{lo, hi})
+	chunk := (n + s.workers - 1) / s.workers
+	s.ranges = make([][2]int, 0, s.workers)
+	for lo := 0; lo < n; lo += chunk {
+		s.ranges = append(s.ranges, [2]int{lo, min(lo+chunk, n)})
 	}
 	s.workerFns = make([]func(), len(s.ranges))
 	for i, r := range s.ranges {
@@ -357,72 +407,64 @@ func New(net *Network, seed int64) (*Sim, error) {
 	return s, nil
 }
 
-// SetInjector installs the per-round traffic source.  The emit closures
-// handed to fn are built here, one per node for the life of the Sim, so
-// phase B hands out a stored closure instead of allocating one per node
-// per round.
-func (s *Sim) SetInjector(fn func(u int, round int32, emit func(dst int32))) {
-	s.injectFn = fn
-	if fn == nil || s.emitFns != nil {
-		return
-	}
-	s.emitFns = make([]func(dst int32), s.Net.N)
-	for u := range s.emitFns {
-		u := u
-		s.emitFns[u] = func(dst int32) { s.emitAt(u, dst) }
-	}
+// SetInjector installs the per-round traffic source: fn(u, round) runs in
+// phase B for every node u and injects its packets with Emit.
+func (s *Sim) SetInjector(fn func(u int, round int32)) { s.injectFn = fn }
+
+// push appends pkt to the queue of port p at node v.
+func (s *Sim) push(v, p int, pkt Packet) {
+	a := s.arcOff[v] + uint32(p)
+	s.queues[a] = append(s.queues[a], pkt)
+	s.qlen[a]++
 }
 
-// emitAt enqueues one injected packet at node v for the round phase B is
-// currently processing (s.round is stable for the whole phase; the packet
-// is born in round s.round+1, matching arrival accounting).
-func (s *Sim) emitAt(v int, dst int32) {
-	if int(dst) == v {
+// Emit injects one packet at node u, destined for dst, in the round being
+// stepped (the packet is born in round s.round+1, matching arrival
+// accounting).  It may only be called from the injector's call for u,
+// which runs in u's phase-B shard; a packet to u itself is ignored.
+func (s *Sim) Emit(u int, dst int32) {
+	if int(dst) == u {
 		return
 	}
 	if !s.faulty {
-		p := s.routePort(v, dst)
-		s.queues[v][p] = append(s.queues[v][p], Packet{Dst: dst, Born: s.round + 1})
-		s.perNode[v].injected++
+		s.push(u, s.routePort(u, dst), Packet{Dst: dst, Born: s.round + 1})
+		s.perNode[u].injected++
 		return
 	}
-	s.perNode[v].injected++
-	if s.Net.nodeDead(v) {
+	s.perNode[u].injected++
+	if s.Net.nodeDead(u) {
 		// A dead source cannot inject; like Enqueue, count the packet as
 		// injected-then-dropped so batch workloads with a fixed intended
 		// total (e.g. total exchange) still drain to conservation.
-		s.perNode[v].dropped++
+		s.perNode[u].dropped++
 		return
 	}
-	p := s.resolveFaulty(v, dst)
+	p := s.resolveFaulty(u, dst)
 	if p < 0 {
-		s.perNode[v].dropped++ // no alive route out of v
+		s.perNode[u].dropped++ // no alive route out of u
 		return
 	}
-	s.queues[v][p] = append(s.queues[v][p], Packet{Dst: dst, Born: s.round + 1, TTL: s.ttl0})
+	s.push(u, p, Packet{Dst: dst, Born: s.round + 1, TTL: s.ttl0})
 }
 
 // EnableLatencyHistogram starts recording per-packet delivery latencies in
 // buckets 0..maxLatency (larger values land in the overflow bucket).
 func (s *Sim) EnableLatencyHistogram(maxLatency int) {
-	for i := range s.perNode {
-		s.perNode[i].hist = make([]int64, maxLatency+2)
-	}
+	s.histW = maxLatency + 2
+	s.hist = make([]int64, s.Net.N*s.histW)
 }
 
 // LatencyPercentiles merges the per-node histograms and returns the
 // requested percentiles (each in [0,1]) of the delivered-packet latency.
 func (s *Sim) LatencyPercentiles(percentiles []float64) ([]int, error) {
-	if s.perNode[0].hist == nil {
+	if s.hist == nil {
 		return nil, fmt.Errorf("netsim: latency histogram not enabled")
 	}
-	merged := make([]int64, len(s.perNode[0].hist))
+	merged := make([]int64, s.histW)
 	var total int64
-	for i := range s.perNode {
-		for b, c := range s.perNode[i].hist {
-			merged[b] += c
-			total += c
-		}
+	for i, c := range s.hist {
+		merged[i%s.histW] += c
+		total += c
 	}
 	if total == 0 {
 		return nil, fmt.Errorf("netsim: no deliveries recorded")
@@ -463,14 +505,14 @@ func (s *Sim) Enqueue(u int, dst int32) error {
 			s.perNode[u].dropped++
 			return nil
 		}
-		s.queues[u][p] = append(s.queues[u][p], Packet{Dst: dst, Born: s.round, TTL: s.ttl0})
+		s.push(u, p, Packet{Dst: dst, Born: s.round, TTL: s.ttl0})
 		return nil
 	}
 	p := s.routePort(u, dst)
-	if p < 0 || p >= len(s.queues[u]) || s.Net.Ports.Port(u, p) < 0 {
+	if p < 0 || p >= s.Net.Ports.Arity(u) || s.Net.Ports.Port(u, p) < 0 {
 		return fmt.Errorf("netsim: router returned invalid port %d at node %d for dst %d", p, u, dst)
 	}
-	s.queues[u][p] = append(s.queues[u][p], Packet{Dst: dst, Born: s.round})
+	s.push(u, p, Packet{Dst: dst, Born: s.round})
 	s.perNode[u].injected++
 	return nil
 }
@@ -491,8 +533,28 @@ func (s *Sim) parallelNodes(fn func(lo, hi int)) {
 	s.wg.Wait()
 }
 
-// phaseA pops up to capacity from each source queue in [lo, hi) into its
-// outboxes.
+// backlog returns arc a's queue with the already-transmitted prefix
+// reclaimed once it is at least as long as the waiting packets, so each
+// packet is copied O(1) times amortized.  Only phase A calls it: by then
+// every view handed out by the previous phase A has been consumed.
+func (s *Sim) backlog(a uint32) []Packet {
+	q := s.queues[a]
+	if head := len(q) - int(s.qlen[a]); head > 0 && head >= int(s.qlen[a]) {
+		q = q[:copy(q, q[head:])]
+		s.queues[a] = q
+	}
+	return q
+}
+
+// transmit hands the first take waiting packets of arc a to phase B.
+func (s *Sim) transmit(a uint32, q []Packet, take int) {
+	head := len(q) - int(s.qlen[a])
+	s.sent[a] = q[head : head+take : head+take]
+	s.qlen[a] -= int32(take)
+}
+
+// phaseA transmits up to capacity from each output queue of the nodes in
+// [lo, hi).
 func (s *Sim) phaseA(lo, hi int) {
 	net := s.Net
 	for u := lo; u < hi; u++ {
@@ -503,42 +565,24 @@ func (s *Sim) phaseA(lo, hi int) {
 			s.singlePortPhaseA(u)
 			continue
 		}
-		for p := range s.queues[u] {
-			q := s.queues[u][p]
-			head := s.qhead[u][p]
-			avail := len(q) - head
+		base := s.arcOff[u]
+		for p, cap := range net.Ports.CapRow(u) {
+			a := base + uint32(p)
+			q := s.backlog(a)
+			avail := int(s.qlen[a])
 			if avail == 0 {
-				s.outbox[u][p] = s.outbox[u][p][:0]
 				continue
 			}
-			cap := net.Ports.Cap(u, p)
-			var take int
-			if cap >= float64(avail) {
-				take = avail
-			} else {
+			take := avail
+			if cap < float64(avail) {
 				// Token bucket: credits accumulate across idle rounds
 				// up to one round's worth plus one packet.
-				s.credits[u][p] += cap
-				if limit := cap + 1; s.credits[u][p] > limit {
-					s.credits[u][p] = limit
-				}
-				take = int(s.credits[u][p])
-				if take > avail {
-					take = avail
-				}
-				s.credits[u][p] -= float64(take)
+				c := min(s.credits[a]+cap, cap+1)
+				take = min(int(c), avail)
+				s.credits[a] = c - float64(take)
 			}
-			s.outbox[u][p] = append(s.outbox[u][p][:0], q[head:head+take]...)
-			head += take
-			if head == len(q) {
-				s.queues[u][p] = q[:0]
-				s.qhead[u][p] = 0
-			} else {
-				s.qhead[u][p] = head
-				if head > 4096 && head*2 > len(q) {
-					s.queues[u][p] = append(s.queues[u][p][:0], q[head:]...)
-					s.qhead[u][p] = 0
-				}
+			if take > 0 {
+				s.transmit(a, q, take)
 			}
 		}
 	}
@@ -553,36 +597,36 @@ func (s *Sim) phaseB(lo, hi int) {
 	for v := lo; v < hi; v++ {
 		if s.faulty && net.nodeDead(v) {
 			// Dead nodes receive and forward nothing, but their injector
-			// still runs: emitAt accounts each intended packet as
+			// still runs: Emit accounts each intended packet as
 			// injected-then-dropped so batch workloads drain to conservation.
 			if s.injectFn != nil {
-				s.injectFn(v, round+1, s.emitFns[v])
+				s.injectFn(v, round+1)
 			}
 			continue
 		}
 		ls := &s.perNode[v]
-		for _, il := range s.inLinks[v] {
-			box := s.outbox[il.src][il.port]
+		var hist []int64
+		if s.hist != nil {
+			hist = s.hist[v*s.histW : (v+1)*s.histW]
+		}
+		var moved int64
+		for _, in := range s.in[s.inOff[v]:s.inOff[v+1]] {
+			box := s.sent[in.arc]
 			if len(box) == 0 {
 				continue
 			}
-			//lint:ignore indextrunc v < net.N, which New bounds via checkNodeCount
-			off := net.offChip(il.src, int32(v))
+			s.sent[in.arc] = nil
+			moved += int64(len(box))
+			if in.offChip {
+				ls.offchip += int64(len(box))
+			}
 			for _, pkt := range box {
-				ls.hops++
-				if off {
-					ls.offchip++
-				}
 				if int(pkt.Dst) == v {
 					ls.delivered++
 					lat := int64(round + 1 - pkt.Born)
 					ls.latency += lat
-					if ls.hist != nil {
-						b := int(lat)
-						if b >= len(ls.hist) {
-							b = len(ls.hist) - 1
-						}
-						ls.hist[b]++
+					if hist != nil {
+						hist[min(int(lat), len(hist)-1)]++
 					}
 					continue
 				}
@@ -600,15 +644,16 @@ func (s *Sim) phaseB(lo, hi int) {
 						ls.dropped++
 						continue
 					}
-					s.queues[v][p] = append(s.queues[v][p], pkt)
+					s.push(v, p, pkt)
 					continue
 				}
-				p := s.routePort(v, pkt.Dst)
-				s.queues[v][p] = append(s.queues[v][p], pkt)
+				s.push(v, s.routePort(v, pkt.Dst), pkt)
 			}
 		}
+		ls.hops += moved
+		ls.moved = moved
 		if s.injectFn != nil {
-			s.injectFn(v, round+1, s.emitFns[v])
+			s.injectFn(v, round+1)
 		}
 	}
 }
@@ -617,24 +662,21 @@ func (s *Sim) phaseB(lo, hi int) {
 // packets that moved or were injected (0 with packets in flight indicates
 // livelock, reported as an error).
 func (s *Sim) Step() (int, error) {
-	net := s.Net
-	// Phase A: pop up to capacity from each source queue into outboxes.
+	// Phase A: pop up to capacity from each output queue.
 	s.parallelNodes(s.phaseAFn)
 	// Phase B: arrivals and injections, sharded by destination node.
 	s.parallelNodes(s.phaseBFn)
 	s.round++
 	s.stats.Rounds++
 	moved := 0
-	for u := range s.outbox {
-		for p := range s.outbox[u] {
-			moved += len(s.outbox[u][p])
-			s.outbox[u][p] = s.outbox[u][p][:0]
-		}
+	for i := range s.perNode {
+		moved += int(s.perNode[i].moved)
+		s.perNode[i].moved = 0
 	}
 	if moved == 0 && s.injectFn == nil && s.InFlight() > 0 {
 		s.zeroStreak++
 		if s.zeroStreak > s.maxIdle {
-			return 0, fmt.Errorf("netsim: %s: livelock with %d packets in flight", net.Name, s.InFlight())
+			return 0, fmt.Errorf("netsim: %s: livelock with %d packets in flight", s.Net.Name, s.InFlight())
 		}
 	} else {
 		s.zeroStreak = 0
@@ -645,40 +687,23 @@ func (s *Sim) Step() (int, error) {
 // singlePortPhaseA transmits at most one packet at node u, on the next
 // nonempty port in round-robin order (credits still gate slow links).
 func (s *Sim) singlePortPhaseA(u int) {
-	np := len(s.queues[u])
-	for p := range s.outbox[u] {
-		s.outbox[u][p] = s.outbox[u][p][:0]
-	}
-	if np == 0 {
-		return
-	}
+	caps := s.Net.Ports.CapRow(u)
+	np := len(caps)
 	start := s.rrPort[u]
 	for off := 0; off < np; off++ {
 		p := (start + off) % np
-		q := s.queues[u][p]
-		head := s.qhead[u][p]
-		if len(q)-head == 0 {
+		a := s.arcOff[u] + uint32(p)
+		if s.qlen[a] == 0 {
 			continue
 		}
-		cap := s.Net.Ports.Cap(u, p)
-		if cap < 1 {
-			s.credits[u][p] += cap
-			if limit := cap + 1; s.credits[u][p] > limit {
-				s.credits[u][p] = limit
-			}
-			if s.credits[u][p] < 1 {
+		if cap := caps[p]; cap < 1 {
+			s.credits[a] = min(s.credits[a]+cap, cap+1)
+			if s.credits[a] < 1 {
 				continue // link not ready; try another port
 			}
-			s.credits[u][p]--
+			s.credits[a]--
 		}
-		s.outbox[u][p] = append(s.outbox[u][p][:0], q[head])
-		head++
-		if head == len(q) {
-			s.queues[u][p] = q[:0]
-			s.qhead[u][p] = 0
-		} else {
-			s.qhead[u][p] = head
-		}
+		s.transmit(a, s.backlog(a), 1)
 		s.rrPort[u] = (p + 1) % np
 		return
 	}
@@ -687,10 +712,8 @@ func (s *Sim) singlePortPhaseA(u int) {
 // InFlight returns the number of queued packets.
 func (s *Sim) InFlight() int64 {
 	var total int64
-	for u := range s.queues {
-		for p := range s.queues[u] {
-			total += int64(len(s.queues[u][p]) - s.qhead[u][p])
-		}
+	for _, l := range s.qlen {
+		total += int64(l)
 	}
 	return total
 }
@@ -716,14 +739,6 @@ func (s *Sim) Stats() Stats {
 // touching queue state.
 func (s *Sim) ResetStats() {
 	s.stats = Stats{}
-	for i := range s.perNode {
-		hist := s.perNode[i].hist
-		s.perNode[i] = localStats{}
-		if hist != nil {
-			for b := range hist {
-				hist[b] = 0
-			}
-			s.perNode[i].hist = hist
-		}
-	}
+	clear(s.perNode)
+	clear(s.hist)
 }

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"ipg/internal/fault"
 	"ipg/internal/nucleus"
 	"ipg/internal/superipg"
 	"ipg/internal/topo"
@@ -77,24 +78,118 @@ func TestHSNOffChipPerPacket(t *testing.T) {
 }
 
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
-	// The two-phase sharding must make results independent of GOMAXPROCS.
+	// The two-phase sharding must make results independent of GOMAXPROCS:
+	// per-node random streams (injection and oblivious fault diverts),
+	// adaptive fault-aware routing, drains and destination-parallel router
+	// builds included.  Networks and routers are rebuilt at each setting.
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
-	var baseline Stats
-	for i, workers := range []int{1, 2, 7} {
-		runtime.GOMAXPROCS(workers)
-		net := mustHypercube(t, 7, 2, 4.0)
+	degraded := func(t *testing.T, net *Network, spec fault.Spec, aware bool) *Network {
+		d, _, err := Degrade(net, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if aware {
+			r, err := NewFaultAwareRouter(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.Router = r
+		}
+		return d
+	}
+	random := func(t *testing.T, net *Network) Stats {
 		res, err := RunRandomUniform(net, 99, 0.4, 80, 150)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i == 0 {
-			baseline = res.Stats
-			continue
-		}
-		if res.Stats != baseline {
-			t.Fatalf("workers=%d produced %+v, baseline %+v", workers, res.Stats, baseline)
-		}
+		return res.Stats
+	}
+	cases := []struct {
+		name string
+		run  func(t *testing.T) Stats
+	}{
+		{"healthy-hypercube", func(t *testing.T) Stats {
+			return random(t, mustHypercube(t, 7, 2, 4.0))
+		}},
+		{"node-faulted-oblivious", func(t *testing.T) Stats {
+			hsn, _ := mustHSN(t, 3, 2, 8)
+			st := random(t, degraded(t, hsn, fault.Spec{Mode: fault.Nodes, Count: 6, Seed: 4}, false))
+			if st.Retried == 0 {
+				t.Fatal("no oblivious diverts: the case does not exercise the per-node streams")
+			}
+			return st
+		}},
+		{"link-faulted-aware", func(t *testing.T) Stats {
+			return random(t, degraded(t, mustHypercube(t, 7, 2, 4.0), fault.Spec{Mode: fault.Links, Count: 40, Seed: 2}, true))
+		}},
+		{"total-exchange", func(t *testing.T) Stats {
+			hsn, _ := mustHSN(t, 3, 2, 8)
+			res, err := RunTotalExchange(hsn, 5, 1<<16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Stats
+		}},
+		{"complete-CN-table", func(t *testing.T) Stats {
+			w := superipg.CompleteCN(3, nucleus.Hypercube(2))
+			net, err := BuildSuperIPG(w, w.MustBuild(), 8, HypercubeRouter{D: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if net.Router, err = NewTableRouter(net); err != nil {
+				t.Fatal(err)
+			}
+			return random(t, net)
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var baseline Stats
+			for i, workers := range []int{1, 2, 7} {
+				runtime.GOMAXPROCS(workers)
+				st := c.run(t)
+				if i == 0 {
+					baseline = st
+					continue
+				}
+				if st != baseline {
+					t.Fatalf("workers=%d produced %+v, baseline %+v", workers, st, baseline)
+				}
+			}
+		})
+	}
+}
+
+// TestNewAllocsConstant pins New's set-up to a fixed number of allocations
+// whatever the node count: every per-node and per-arc table is one flat
+// slice, with no per-node generators, queues or closures.
+func TestNewAllocsConstant(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	allocs := func(d int) float64 {
+		net := mustHypercube(t, d, 2, 4.0)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := New(net, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(4), allocs(10); small != large {
+		t.Errorf("New allocates %v times at 16 nodes but %v at 1024", small, large)
+	}
+}
+
+// TestAdaptiveRoutingZeroAllocs: an adaptive routing decision reads the
+// simulator's queue-length row in place.
+func TestAdaptiveRoutingZeroAllocs(t *testing.T) {
+	net := mustHypercube(t, 6, 2, 4.0)
+	net.Router = AdaptiveHypercube{D: 6}
+	s, err := New(net, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(100, func() { s.routePort(5, 42) }); a != 0 {
+		t.Errorf("adaptive routing decision allocates %v times, want 0", a)
 	}
 }
 

@@ -184,18 +184,21 @@ func (r *HSNRouter) NextPort(cur, dst int) int {
 // TableRouter is a full all-pairs next-port table built by reverse BFS on
 // an arbitrary port network; usable for any family at small N.
 type TableRouter struct {
-	n     int
+	n int
+	// table[dst*n+cur] is the port at cur toward dst (-1 at dst itself):
+	// destination-major, so each BFS fills one contiguous row.
 	table []int16
 }
 
 // NewTableRouter builds the table (O(N^2) memory, O(N*E) time).  The
-// reverse adjacency is a flat count-then-fill arena (no per-node slice
-// headers), and the per-destination reverse BFS runs destination-parallel
-// over a worker pool: each destination writes only its own table column,
-// so workers never touch the same entries.  Discovery order within each
-// BFS — source ascending, then port ascending — is identical to the
-// serial build, so the minimal-port tie-breaks and therefore the table
-// are bit-identical, worker count notwithstanding.
+// reverse adjacency is aliveReverseCSR's flat arena (every arc, on a
+// healthy network), and the per-destination reverse BFS runs
+// destination-parallel over a worker pool: each destination writes only
+// its own table row, which doubles as the BFS visited set, so workers
+// never touch the same entries.  Discovery order within each BFS — source
+// ascending, then port ascending — is identical to the serial build, so
+// the minimal-port tie-breaks and therefore the table are bit-identical,
+// worker count notwithstanding.
 func NewTableRouter(net *Network) (*TableRouter, error) {
 	n := net.N
 	if err := checkNodeCount(n); err != nil {
@@ -205,49 +208,12 @@ func NewTableRouter(net *Network) (*TableRouter, error) {
 		return nil, fmt.Errorf("netsim: TableRouter limited to 16384 nodes, got %d", n)
 	}
 	tr := &TableRouter{n: n, table: make([]int16, n*n)}
-	for i := range tr.table {
-		tr.table[i] = -1
-	}
-	// Reverse adjacency with originating port, as flat arenas: the
-	// reverse arcs into v are (revSrc[i], revPort[i]) for i in
-	// [revOff[v], revOff[v+1]), in (source asc, port asc) order because
-	// both passes iterate sources then ports ascending.
-	revOff := make([]uint32, n+1)
-	for u := 0; u < n; u++ {
-		for _, v := range net.Ports.PortRow(u) {
-			if v >= 0 && int(v) != u {
-				revOff[v+1]++
-			}
-		}
-	}
-	for v := 0; v < n; v++ {
-		revOff[v+1] += revOff[v]
-	}
-	revSrc := make([]int32, revOff[n])
-	revPort := make([]int16, revOff[n])
-	cursor := make([]uint32, n)
-	copy(cursor, revOff[:n])
-	for u := 0; u < n; u++ {
-		for p, v := range net.Ports.PortRow(u) {
-			if v >= 0 && int(v) != u {
-				i := cursor[v]
-				revSrc[i] = int32(u)
-				revPort[i] = int16(p)
-				cursor[v] = i + 1
-			}
-		}
-	}
+	revOff, revSrc, revPort := aliveReverseCSR(net)
 
 	var firstErr error
 	var errMu sync.Mutex
 	var next int64 = -1
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(1, min(runtime.GOMAXPROCS(0), n))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -255,44 +221,39 @@ func NewTableRouter(net *Network) (*TableRouter, error) {
 			defer wg.Done()
 			s := topo.GetScratch(n)
 			defer topo.PutScratch(s)
-			dist := s.Dist
 			queue := s.Queue
 			for {
 				dst := int(atomic.AddInt64(&next, 1))
 				if dst >= n {
-					return
+					break
 				}
-				for i := range dist {
-					dist[i] = -1
+				// A node is visited once it has a port (dst itself never
+				// gets one, so it is skipped explicitly).
+				row := tr.table[dst*n : (dst+1)*n]
+				for i := range row {
+					row[i] = -1
 				}
-				dist[dst] = 0
-				queue = queue[:0]
-				queue = append(queue, int32(dst))
+				queue = append(queue[:0], int32(dst))
 				for qi := 0; qi < len(queue); qi++ {
 					v := queue[qi]
 					for i := revOff[v]; i < revOff[v+1]; i++ {
-						u := revSrc[i]
-						if dist[u] < 0 {
-							dist[u] = dist[v] + 1
-							tr.table[int(u)*n+dst] = revPort[i]
+						if u := revSrc[i]; row[u] < 0 && int(u) != dst {
+							row[u] = revPort[i]
 							queue = append(queue, u)
 						}
 					}
 				}
-				// Write any reallocated queue back so the pool keeps the
-				// grown buffer instead of the stale pre-append slice.
-				s.Queue = queue
-				for u := 0; u < n; u++ {
-					if dist[u] < 0 {
-						errMu.Lock()
-						if firstErr == nil {
-							firstErr = fmt.Errorf("netsim: network disconnected (node %d cannot reach %d)", u, dst)
-						}
-						errMu.Unlock()
-						break
+				if len(queue) < n {
+					errMu.Lock()
+					if firstErr == nil {
+						firstErr = fmt.Errorf("netsim: network disconnected (%d of %d nodes cannot reach %d)", n-len(queue), n, dst)
 					}
+					errMu.Unlock()
 				}
 			}
+			// Hand any reallocated queue back so the pool keeps the grown
+			// buffer instead of the stale pre-append slice.
+			s.Queue = queue
 		}()
 	}
 	wg.Wait()
@@ -303,4 +264,44 @@ func NewTableRouter(net *Network) (*TableRouter, error) {
 }
 
 // NextPort implements Router.
-func (tr *TableRouter) NextPort(cur, dst int) int { return int(tr.table[cur*tr.n+dst]) }
+func (tr *TableRouter) NextPort(cur, dst int) int { return int(tr.table[dst*tr.n+cur]) }
+
+// aliveReverseCSR builds the reverse adjacency over alive arcs as flat
+// count-then-fill arenas: the arcs into v are (revSrc[i], revPort[i]) for
+// i in [revOff[v], revOff[v+1]), in (source asc, port asc) order because
+// both passes iterate sources then ports ascending.  On a healthy network
+// every arc is alive; self-loop ports are skipped.
+func aliveReverseCSR(net *Network) (revOff []uint32, revSrc []int32, revPort []int16) {
+	n := net.N
+	revOff = make([]uint32, n+1)
+	aliveArc := func(u, p int, v int32) bool {
+		return v >= 0 && int(v) != u && !net.nodeDead(u) && !net.portDead(u, p)
+	}
+	for u := 0; u < n; u++ {
+		for p, v := range net.Ports.PortRow(u) {
+			if aliveArc(u, p, v) {
+				revOff[v+1]++
+			}
+		}
+	}
+	for v := 0; v < n; v++ {
+		revOff[v+1] += revOff[v]
+	}
+	revSrc = make([]int32, revOff[n])
+	revPort = make([]int16, revOff[n])
+	cursor := make([]uint32, n)
+	copy(cursor, revOff[:n])
+	for u := 0; u < n; u++ {
+		for p, v := range net.Ports.PortRow(u) {
+			if aliveArc(u, p, v) {
+				i := cursor[v]
+				//lint:ignore indextrunc u < n <= 16384, well under math.MaxInt32
+				revSrc[i] = int32(u)
+				//lint:ignore indextrunc ports per node are bounded by PortMap arity, far below MaxInt16
+				revPort[i] = int16(p)
+				cursor[v] = i + 1
+			}
+		}
+	}
+	return revOff, revSrc, revPort
+}

@@ -46,18 +46,16 @@ func RunHotSpot(net *Network, seed int64, rate, hotFrac float64, hot int32, warm
 		return RandomResult{}, err
 	}
 	n := int32(net.N)
-	s.SetInjector(func(u int, _ int32, emit func(dst int32)) {
-		rng := s.rngs[u]
-		if rng.Float64() >= rate {
+	s.SetInjector(func(u int, _ int32) {
+		rng := &s.rngs[u]
+		if rng.float64() >= rate {
 			return
 		}
-		if rng.Float64() < hotFrac {
-			if int32(u) != hot {
-				emit(hot)
-			}
+		if rng.float64() < hotFrac {
+			s.Emit(u, hot)
 			return
 		}
-		emit(pickOther(rng, n, int32(u)))
+		s.Emit(u, pickOther(rng, n, int32(u)))
 	})
 	for i := 0; i < warmup; i++ {
 		if _, err := s.Step(); err != nil {
@@ -95,10 +93,10 @@ func LatencyProbe(net *Network, seed int64, rate float64, warmup, measure int, p
 	}
 	s.EnableLatencyHistogram(4 * (warmup + measure))
 	n := int32(net.N)
-	s.SetInjector(func(u int, _ int32, emit func(dst int32)) {
-		rng := s.rngs[u]
-		if rng.Float64() < rate {
-			emit(pickOther(rng, n, int32(u)))
+	s.SetInjector(func(u int, _ int32) {
+		rng := &s.rngs[u]
+		if rng.float64() < rate {
+			s.Emit(u, pickOther(rng, n, int32(u)))
 		}
 	})
 	for i := 0; i < warmup; i++ {

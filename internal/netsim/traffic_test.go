@@ -148,22 +148,18 @@ func TestAdaptiveRoutingHelpsAdversarialTraffic(t *testing.T) {
 
 func TestAdaptiveRouterFallback(t *testing.T) {
 	r := AdaptiveHypercube{D: 4}
-	if r.NextPort(5, 5) != -1 || r.NextPortAdaptive(5, 5, func(int) int { return 0 }) != -1 {
+	idle := make([]int32, 4)
+	if r.NextPort(5, 5) != -1 || r.NextPortAdaptive(5, 5, idle) != -1 {
 		t.Error("at-destination should return -1")
 	}
 	// With equal queues it picks the lowest differing dimension, matching
 	// dimension-order.
-	got := r.NextPortAdaptive(0b0000, 0b1010, func(int) int { return 0 })
+	got := r.NextPortAdaptive(0b0000, 0b1010, idle)
 	if got != 1 {
 		t.Errorf("tie-break port = %d, want 1", got)
 	}
 	// With a congested low dimension it diverts.
-	got = r.NextPortAdaptive(0b0000, 0b1010, func(p int) int {
-		if p == 1 {
-			return 5
-		}
-		return 0
-	})
+	got = r.NextPortAdaptive(0b0000, 0b1010, []int32{0, 5, 0, 0})
 	if got != 3 {
 		t.Errorf("diverted port = %d, want 3", got)
 	}

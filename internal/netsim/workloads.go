@@ -3,7 +3,6 @@ package netsim
 import (
 	"context"
 	"fmt"
-	"math/rand"
 )
 
 // This file drives the paper's communication-intensive workloads: random
@@ -44,16 +43,16 @@ func RunRandomUniformCtx(ctx context.Context, net *Network, seed int64, rate flo
 		return RandomResult{}, err
 	}
 	n := int32(net.N)
-	s.SetInjector(func(u int, _ int32, emit func(dst int32)) {
-		rng := s.rngs[u]
+	s.SetInjector(func(u int, _ int32) {
+		rng := &s.rngs[u]
 		// Bernoulli or multi-packet injection for rate > 1.
 		r := rate
 		for r >= 1 {
-			emit(pickOther(rng, n, int32(u)))
+			s.Emit(u, pickOther(rng, n, int32(u)))
 			r--
 		}
-		if r > 0 && rng.Float64() < r {
-			emit(pickOther(rng, n, int32(u)))
+		if r > 0 && rng.float64() < r {
+			s.Emit(u, pickOther(rng, n, int32(u)))
 		}
 	})
 	for i := 0; i < warmup; i++ {
@@ -87,8 +86,11 @@ func RunRandomUniformCtx(ctx context.Context, net *Network, seed int64, rate flo
 	return res, nil
 }
 
-func pickOther(rng *rand.Rand, n, self int32) int32 {
-	d := rng.Int31n(n - 1)
+// pickOther draws a destination uniformly from the n-1 nodes other than
+// self.
+func pickOther(rng *stream, n, self int32) int32 {
+	//lint:ignore indextrunc intn(n-1) < n-1, an int32
+	d := int32(rng.intn(int(n - 1)))
 	if d >= self {
 		d++
 	}
@@ -236,9 +238,9 @@ func RunTotalExchangeCtx(ctx context.Context, net *Network, seed int64, maxRound
 	total := int64(net.N) * int64(net.N-1)
 	// Wave injection: at round r, node u sends to u+r+1 mod N.  This is the
 	// standard staggered total exchange; every (src,dst) pair occurs once.
-	s.SetInjector(func(u int, round int32, emit func(dst int32)) {
+	s.SetInjector(func(u int, round int32) {
 		if round <= n-1 {
-			emit((int32(u) + round) % n)
+			s.Emit(u, (int32(u)+round)%n)
 		}
 	})
 	res, err := runToCompletion(ctx, s, total, maxRounds)

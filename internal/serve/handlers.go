@@ -521,6 +521,11 @@ type SimulateResponse struct {
 	Faults    *SimFaults `json:"faults,omitempty"`
 }
 
+// SimMaxRounds caps warmup+measure of a /v1/simulate query.  With
+// SimMaxNodes it bounds a random run's round loop before the request takes
+// a worker slot, so no query can hold one until the request deadline.
+const SimMaxRounds = 4096
+
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 	p, err := requestParams(r)
 	if err != nil {
@@ -552,6 +557,9 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 	}
 	if rate <= 0 || chipCap <= 0 || warmup < 0 || measure <= 0 {
 		return badRequest("rate and chipcap must be positive, warmup >= 0, measure > 0")
+	}
+	if measure > SimMaxRounds || warmup > SimMaxRounds-measure {
+		return badRequest("warmup %d + measure %d rounds exceeds the simulation cap of %d rounds", warmup, measure, SimMaxRounds)
 	}
 	if handled, err := s.maybeForward(w, r, p, ""); handled || err != nil {
 		return err

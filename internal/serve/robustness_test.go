@@ -427,3 +427,40 @@ func TestSimulateFaults(t *testing.T) {
 		t.Fatalf("adversarial simulate: status %d, want 400", resp.StatusCode)
 	}
 }
+
+// TestSimulateRoundCap checks that warmup+measure above SimMaxRounds is a
+// 400 naming the cap, decided before the request takes a worker slot: with
+// the only slot held and no queue, an over-cap query still gets its 400
+// rather than a 503.  The defaults and the cap itself stay accepted.
+func TestSimulateRoundCap(t *testing.T) {
+	srv := NewServer(Config{Workers: 1, QueueDepth: -1})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	const base = "/v1/simulate?net=hypercube&dim=4&logm=1&rate=0.1"
+
+	release, err := srv.acquireSlot(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		fmt.Sprintf("&warmup=%d&measure=1", SimMaxRounds),
+		fmt.Sprintf("&warmup=0&measure=%d", SimMaxRounds+1),
+		"&warmup=9223372036854775807&measure=9223372036854775807",
+	} {
+		var body map[string]string
+		if resp := get(t, ts, base+q, &body); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s with the pool full: status %d, want 400", q, resp.StatusCode)
+		}
+		if want := fmt.Sprint(SimMaxRounds); !strings.Contains(body["error"], want) {
+			t.Errorf("%s: error %q does not state the cap %s", q, body["error"], want)
+		}
+	}
+	release()
+
+	for _, q := range []string{"", fmt.Sprintf("&warmup=%d&measure=%d", SimMaxRounds/2, SimMaxRounds/2)} {
+		var resp SimulateResponse
+		if r := get(t, ts, base+q, &resp); r.StatusCode != http.StatusOK {
+			t.Fatalf("%q: status %d, want 200", q, r.StatusCode)
+		}
+	}
+}
