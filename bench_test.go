@@ -11,12 +11,14 @@ package ipg
 // so `-bench` doubles as an end-to-end verification pass at measured cost.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"ipg/internal/ascend"
 	"ipg/internal/emul"
 	"ipg/internal/experiments"
+	"ipg/internal/fault"
 	"ipg/internal/graph"
 	"ipg/internal/netsim"
 	"ipg/internal/nucleus"
@@ -310,7 +312,7 @@ func BenchmarkAblationParallelBFS(b *testing.B) {
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if g.DiameterParallel() < 0 {
+			if d, _, _ := graph.Distances(context.Background(), g); d < 0 {
 				b.Fatal("disconnected")
 			}
 		}
@@ -357,7 +359,7 @@ func hsn3q4Rows(b *testing.B) (*UndirectedGraph, [][]int32) {
 	rows := make([][]int32, g.N())
 	var buf []int32
 	for v := 0; v < g.N(); v++ {
-		buf = g.Neighbors(v, buf)
+		buf = g.NeighborsInto(v, buf)
 		rows[v] = append([]int32(nil), buf...)
 	}
 	return g, rows
@@ -373,7 +375,7 @@ func BenchmarkBFS_CSR(b *testing.B) {
 	b.Run("csr", func(b *testing.B) {
 		c := g.CSR()
 		for i := 0; i < b.N; i++ {
-			if ecc, _ := c.BFSInto(i%n, dist, queue); ecc < 0 {
+			if ecc, _, _ := topo.BFSSourceInto(c, i%n, dist, queue, nil); ecc < 0 {
 				b.Fatal("disconnected")
 			}
 		}
@@ -438,7 +440,7 @@ func benchFamilies4096() []struct {
 // family three ways, all single-threaded so the numbers isolate kernel
 // effects from worker-pool parallelism:
 //
-//   - scalar: one BFSInto per source (the pre-PR kernel),
+//   - scalar: one scalar BFS per source,
 //   - msbfs: 64-source batches through the bit-parallel kernel,
 //   - symmetry: a single source, valid only for the vertex-transitive
 //     families, where it already yields the exact diameter and average
@@ -457,7 +459,7 @@ func BenchmarkAllSourcesBFS(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var diam int32
 				for src := 0; src < n; src++ {
-					ecc, _ := c.BFSInto(src, dist, queue)
+					ecc, _, _ := topo.BFSSourceInto(c, src, dist, queue, nil)
 					if ecc > diam {
 						diam = ecc
 					}
@@ -484,7 +486,7 @@ func BenchmarkAllSourcesBFS(b *testing.B) {
 					for v := lo; v < hi; v++ {
 						srcs = append(srcs, int32(v))
 					}
-					c.MSBFSInto(srcs, s, ecc, sum, nil)
+					topo.MSBFSSourceInto(c, srcs, s, ecc, sum, nil, nil)
 					for _, e := range ecc[:len(srcs)] {
 						if e > diam {
 							diam = e
@@ -504,8 +506,51 @@ func BenchmarkAllSourcesBFS(b *testing.B) {
 			queue := make([]int32, 0, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if ecc, _ := c.BFSInto(0, dist, queue); ecc <= 0 {
+				if ecc, _, _ := topo.BFSSourceInto(c, 0, dist, queue, nil); ecc <= 0 {
 					b.Fatal("bad eccentricity")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkMaskedSweepBFS times fault.Analyze on HSN(3,Q4) (4096 nodes)
+// with 8 faults: the component census plus the all-alive-sources sweep
+// through the masked MSBFS kernel, which dominates.  It covers the
+// kernel's three masked inputs: the arena with a vertex mask, the arena
+// with an arc mask, and a codec source with a vertex mask.
+func BenchmarkMaskedSweepBFS(b *testing.B) {
+	w := superipg.HSN(3, nucleus.Hypercube(4))
+	c := w.MustBuild().Undirected().CSR()
+	im, err := w.Implicit()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		src  topo.Source
+		mode fault.Mode
+	}{
+		{"csr-nodes", c, fault.Nodes},
+		{"csr-links", c, fault.Links},
+		{"codec-nodes", im, fault.Nodes},
+	} {
+		set, err := fault.NewForSource(tc.src, fault.Spec{Mode: tc.mode, Count: 8, Seed: 1}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dv, err := fault.NewDegradedSourceView(tc.src, set)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rep, err := dv.Analyze(context.Background())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rep.GiantDiameter <= 0 {
+					b.Fatal("bad giant diameter")
 				}
 			}
 		})

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -234,11 +235,13 @@ func validateFlags(netName, nucName, workload string, rate, chipCap float64, war
 	default:
 		usageError("unknown workload %q (random|sweep|te|transpose)", workload)
 	}
-	if rate <= 0 {
-		usageError("-rate must be positive, got %v", rate)
+	// NaN fails every comparison, so "positive and finite" is spelled
+	// !(x > 0) rather than x <= 0.
+	if !(rate > 0) || math.IsInf(rate, 0) {
+		usageError("-rate must be positive and finite, got %v", rate)
 	}
-	if chipCap <= 0 {
-		usageError("-chipcap must be positive, got %v", chipCap)
+	if !(chipCap > 0) || math.IsInf(chipCap, 0) {
+		usageError("-chipcap must be positive and finite, got %v", chipCap)
 	}
 	if warm < 0 || measure <= 0 {
 		usageError("-warmup must be >= 0 and -measure > 0, got %d/%d", warm, measure)

@@ -30,6 +30,7 @@ import (
 	"os"
 
 	"ipg/internal/analysis"
+	"ipg/internal/graph"
 	"ipg/internal/mcmp"
 	"ipg/internal/nucleus"
 	"ipg/internal/schedule"
@@ -203,10 +204,14 @@ func runSuperIPG(family string, l int, nucName string, sched, diameter bool, dot
 			g.N(), u.M(), min, avg, max)
 		fmt.Printf("intercluster links: %d, intercluster degree: %.4g\n",
 			w.InterclusterLinks(g), w.InterclusterDegree(g))
-		fmt.Printf("measured intercluster diameter: %d, avg intercluster distance: %.4g\n",
-			w.InterclusterDiameter(g), w.AvgInterclusterDistance(g))
+		q, _ := w.Quotient(g)
+		icDiam, icAvg, err := graph.Distances(context.Background(), q)
+		fail(err)
+		fmt.Printf("measured intercluster diameter: %d, avg intercluster distance: %.4g\n", icDiam, icAvg)
 		if diameter {
-			fmt.Printf("graph diameter: %d\n", u.DiameterParallel())
+			d, _, err := graph.Distances(context.Background(), u)
+			fail(err)
+			fmt.Printf("graph diameter: %d\n", d)
 		}
 		if dotFile != "" {
 			f, err := os.Create(dotFile)

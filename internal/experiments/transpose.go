@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"ipg/internal/analysis"
+	"ipg/internal/graph"
 	"ipg/internal/mcmp"
 	"ipg/internal/netsim"
 	"ipg/internal/nucleus"
@@ -128,6 +130,18 @@ func runIICost(scale Scale) (*Result, error) {
 	}
 	var rows []row
 
+	// addRow appends one network's costs, given its diameter.
+	addRow := func(name string, c *mcmp.Clustered, diam int, isSuper, isTorus bool) {
+		icDeg := c.InterclusterDegree()
+		icDiam, _ := c.InterclusterDistances()
+		rows = append(rows, row{name, icDeg, diam, icDiam,
+			mcmp.IDCost(icDeg, diam), mcmp.IICost(icDeg, icDiam), isSuper, isTorus})
+	}
+	diameter := func(g *graph.Graph) int {
+		d, _, _ := graph.Distances(context.Background(), g) // Background is never cancelled
+		return d
+	}
+
 	// HSN(3,Q_k).
 	w := superipg.HSN(3, nucleus.Hypercube(k))
 	g, err := w.Build()
@@ -138,12 +152,7 @@ func runIICost(scale Scale) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	u := g.Undirected()
-	icDeg := cH.InterclusterDegree()
-	diam := u.DiameterParallel()
-	icDiam := cH.InterclusterDiameter()
-	rows = append(rows, row{w.Name(), icDeg, diam, icDiam,
-		mcmp.IDCost(icDeg, diam), mcmp.IICost(icDeg, icDiam), true, false})
+	addRow(w.Name(), cH, diameter(g.Undirected()), true, false)
 
 	// Hypercube with matching chips.
 	h := topology.NewHypercube(3 * k)
@@ -151,9 +160,7 @@ func runIICost(scale Scale) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	icDeg = cQ.InterclusterDegree()
-	rows = append(rows, row{h.Name() + fmt.Sprintf("/M=%d", 1<<k), icDeg, 3 * k, cQ.InterclusterDiameter(),
-		mcmp.IDCost(icDeg, 3*k), mcmp.IICost(icDeg, cQ.InterclusterDiameter()), false, false})
+	addRow(h.Name()+fmt.Sprintf("/M=%d", 1<<k), cQ, 3*k, false, false)
 
 	// CCC.
 	ccc := topology.NewCCC(cccD)
@@ -161,9 +168,7 @@ func runIICost(scale Scale) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	icDeg = cC.InterclusterDegree()
-	rows = append(rows, row{fmt.Sprintf("CCC(%d)", cccD), icDeg, ccc.G.DiameterParallel(), cC.InterclusterDiameter(),
-		mcmp.IDCost(icDeg, ccc.G.DiameterParallel()), mcmp.IICost(icDeg, cC.InterclusterDiameter()), false, false})
+	addRow(fmt.Sprintf("CCC(%d)", cccD), cC, diameter(ccc.G), false, false)
 
 	// Butterfly.
 	bf := topology.NewButterfly(bfD)
@@ -171,9 +176,7 @@ func runIICost(scale Scale) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	icDeg = cB.InterclusterDegree()
-	rows = append(rows, row{fmt.Sprintf("WBF(%d)/band %d", bfD, band), icDeg, bf.G.DiameterParallel(), cB.InterclusterDiameter(),
-		mcmp.IDCost(icDeg, bf.G.DiameterParallel()), mcmp.IICost(icDeg, cB.InterclusterDiameter()), false, false})
+	addRow(fmt.Sprintf("WBF(%d)/band %d", bfD, band), cB, diameter(bf.G), false, false)
 
 	// Torus.
 	tor := topology.NewTorus(torK, 2)
@@ -181,9 +184,7 @@ func runIICost(scale Scale) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	icDeg = cT.InterclusterDegree()
-	rows = append(rows, row{tor.Name(), icDeg, tor.G.DiameterParallel(), cT.InterclusterDiameter(),
-		mcmp.IDCost(icDeg, tor.G.DiameterParallel()), mcmp.IICost(icDeg, cT.InterclusterDiameter()), false, true})
+	addRow(tor.Name(), cT, diameter(tor.G), false, true)
 
 	tb := analysis.NewTable("ID-cost and II-cost (lower is better)",
 		"network", "ic degree", "diameter", "ic diameter", "ID-cost", "II-cost")

@@ -9,8 +9,8 @@ import (
 // DegradedView is a masked read-only view of an adjacency source under a
 // fault Set: failed vertices (and, on CSR-backed views, failed edges)
 // are hidden from every traversal without copying or rebuilding
-// anything.  It implements topo.Topology and topo.Source over the alive
-// subgraph (dead vertices keep their ids but have degree zero).
+// anything.  It implements topo.Source over the alive subgraph (dead
+// vertices keep their ids but have no neighbors).
 //
 // A DegradedView deliberately does NOT implement topo.Symmetric: even
 // when the underlying family is vertex-transitive, faults break the
@@ -59,7 +59,7 @@ func (d *DegradedView) WithClusters(clusterOf []int32) *DegradedView {
 // Set returns the underlying fault set.
 func (d *DegradedView) Set() *Set { return d.set }
 
-// N implements topo.Topology (dead vertices keep their ids).
+// N implements topo.Source (dead vertices keep their ids).
 func (d *DegradedView) N() int { return d.src.N() }
 
 // Alive returns the surviving vertex count.
@@ -69,32 +69,10 @@ func (d *DegradedView) Alive() int { return d.set.Alive() }
 // the underlying bound still holds.
 func (d *DegradedView) DegreeBound() int { return d.src.DegreeBound() }
 
-// Degree implements topo.Topology: the alive degree of v, zero for a
-// dead vertex.
-func (d *DegradedView) Degree(v int) int {
-	if topo.Bit(d.set.VDead, v) {
-		return 0
-	}
-	if d.c != nil {
-		if d.set.VDead == nil && d.set.ADead == nil {
-			return d.c.Degree(v)
-		}
-		deg := 0
-		first := d.c.RowStart(v)
-		for j, u := range d.c.Row(v) {
-			if topo.Bit(d.set.ADead, first+j) || topo.Bit(d.set.VDead, int(u)) {
-				continue
-			}
-			deg++
-		}
-		return deg
-	}
-	buf := make([]int32, 0, d.src.DegreeBound())
-	return len(d.Neighbors(v, buf))
-}
-
-// Neighbors implements topo.Topology: v's alive neighbors, ascending.
-func (d *DegradedView) Neighbors(v int, buf []int32) []int32 {
+// NeighborsInto implements topo.Source: v's alive neighbors, ascending
+// (the canonical row order of the underlying source, minus the masked
+// entries).
+func (d *DegradedView) NeighborsInto(v int, buf []int32) []int32 {
 	buf = buf[:0]
 	if topo.Bit(d.set.VDead, v) {
 		return buf
@@ -121,8 +99,3 @@ func (d *DegradedView) Neighbors(v int, buf []int32) []int32 {
 	}
 	return buf[:w]
 }
-
-// NeighborsInto implements topo.Source; identical to Neighbors (the view
-// inherits the canonical row order of its underlying source, minus the
-// masked entries).
-func (d *DegradedView) NeighborsInto(v int, buf []int32) []int32 { return d.Neighbors(v, buf) }

@@ -88,7 +88,7 @@ func bruteComponents(g *graph.Graph) ([]int, []int) {
 			u := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]
 			size++
-			buf = g.Neighbors(u, buf)
+			buf = g.NeighborsInto(u, buf)
 			for _, w := range buf {
 				if comp[w] < 0 {
 					comp[w] = id
@@ -333,7 +333,7 @@ func TestVTShortcutDisabled(t *testing.T) {
 	if _, ok := interface{}(dv).(topo.Symmetric); ok {
 		t.Fatal("DegradedView must not implement topo.Symmetric: faults break vertex transitivity")
 	}
-	var _ topo.Topology = dv // the masked view still serves the Topology interface
+	var _ topo.Source = dv // the masked view still serves the Source interface
 	rep, err := dv.Analyze(context.Background())
 	if err != nil {
 		t.Fatal(err)

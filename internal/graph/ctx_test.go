@@ -18,19 +18,15 @@ func ringGraph(n int) *Graph {
 
 func TestDiameterParallelCtxMatchesSerial(t *testing.T) {
 	g := ringGraph(64)
-	d, err := g.DiameterParallelCtx(context.Background())
+	d, avg, err := Distances(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := g.Diameter(); d != want {
-		t.Fatalf("DiameterParallelCtx = %d, want %d", d, want)
-	}
-	avg, err := g.AverageDistanceParallelCtx(context.Background())
-	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("Distances diameter = %d, want %d", d, want)
 	}
 	if want := g.AverageDistance(); avg != want {
-		t.Fatalf("AverageDistanceParallelCtx = %v, want %v", avg, want)
+		t.Fatalf("Distances avg = %v, want %v", avg, want)
 	}
 }
 
@@ -38,11 +34,14 @@ func TestDiameterParallelCtxCancelled(t *testing.T) {
 	g := ringGraph(4096) // big enough that the source loop is still running
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := g.DiameterParallelCtx(ctx); !errors.Is(err, context.Canceled) {
+	if _, _, err := Distances(ctx, g); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if _, err := g.AverageDistanceParallelCtx(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("avg err = %v, want context.Canceled", err)
+	// A vertex-transitive source takes the single-BFS shortcut, which must
+	// honour an already-cancelled context too.
+	g.MarkVertexTransitive()
+	if _, _, err := Distances(ctx, g); !errors.Is(err, context.Canceled) {
+		t.Fatalf("vertex-transitive err = %v, want context.Canceled", err)
 	}
 }
 
@@ -51,7 +50,7 @@ func TestDiameterParallelCtxDeadlinePrompt(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := g.DiameterParallelCtx(ctx)
+	_, _, err := Distances(ctx, g)
 	if err == nil {
 		t.Skip("machine finished the all-pairs BFS inside the deadline")
 	}

@@ -35,11 +35,12 @@ func TestParallelMetricsDeterministic(t *testing.T) {
 
 	for _, workers := range []int{1, 2, prev, 2 * prev} {
 		runtime.GOMAXPROCS(workers)
-		if d := g.DiameterParallel(); d != wantDiam {
-			t.Errorf("GOMAXPROCS=%d: DiameterParallel = %d, want %d", workers, d, wantDiam)
+		d, a := distances(t, g)
+		if d != wantDiam {
+			t.Errorf("GOMAXPROCS=%d: parallel diameter = %d, want %d", workers, d, wantDiam)
 		}
-		if a := g.AverageDistanceParallel(); a != wantAvg {
-			t.Errorf("GOMAXPROCS=%d: AverageDistanceParallel = %v, want bit-identical %v", workers, a, wantAvg)
+		if a != wantAvg {
+			t.Errorf("GOMAXPROCS=%d: parallel avg distance = %v, want bit-identical %v", workers, a, wantAvg)
 		}
 	}
 }
@@ -55,11 +56,8 @@ func TestParallelMetricsDisconnected(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 	for _, workers := range []int{1, 4} {
 		runtime.GOMAXPROCS(workers)
-		if d := g.DiameterParallel(); d != -1 {
-			t.Errorf("GOMAXPROCS=%d: DiameterParallel on disconnected graph = %d, want -1", workers, d)
-		}
-		if a := g.AverageDistanceParallel(); a != -1 {
-			t.Errorf("GOMAXPROCS=%d: AverageDistanceParallel on disconnected graph = %v, want -1", workers, a)
+		if d, a := distances(t, g); d != -1 || a != -1 {
+			t.Errorf("GOMAXPROCS=%d: parallel diameter/avg on disconnected graph = %d/%v, want -1/-1", workers, d, a)
 		}
 	}
 }

@@ -7,7 +7,8 @@
 // graphs stream their edges straight into it via FromStream, while
 // incremental AddEdge construction buffers edges and finalizes to CSR on
 // the first read.  Either way, every algorithm below iterates the flat
-// arena, and Graph satisfies the topo.Topology interface.
+// arena through the topo kernels, and Graph satisfies topo.Source, so
+// Distances (the one all-sources distance sweep) accepts it directly.
 package graph
 
 import (
@@ -44,8 +45,8 @@ type Graph struct {
 // the same eccentricity and distance multiset.  Only family builders whose
 // construction proves transitivity (the Cayley families: hypercubes, tori,
 // generalized hypercubes, CCC, wrapped butterflies, and their Cartesian
-// products) may call this; the parallel metric entry points then collapse
-// the all-sources sweep to a single BFS.  AddEdge clears the mark.
+// products) may call this; Distances then collapses the all-sources sweep
+// to a single BFS.  AddEdge clears the mark.
 func (g *Graph) MarkVertexTransitive() { g.vt = true }
 
 // VertexTransitive reports whether the graph was marked vertex-transitive
@@ -207,19 +208,11 @@ func (g *Graph) HasEdge(u, v int) bool {
 // arena.
 func (g *Graph) row(u int) []int32 { return g.ensure().Row(u) }
 
-// Neighbors appends the sorted neighbors of u to buf[:0] and returns it
-// (the topo.Topology contract).  Passing a buffer with cap >= Degree(u)
-// makes the call allocation-free.
-func (g *Graph) Neighbors(u int, buf []int32) []int32 {
-	return append(buf[:0], g.row(u)...)
-}
-
-// Degree returns the degree of u.
-func (g *Graph) Degree(u int) int { return g.ensure().Degree(u) }
-
-// NeighborsInto implements topo.Source (same contract as Neighbors).
+// NeighborsInto implements topo.Source: it appends the sorted neighbors
+// of u to buf[:0] and returns it.  Passing a buffer with cap >=
+// DegreeBound() makes the call allocation-free.
 func (g *Graph) NeighborsInto(u int, buf []int32) []int32 {
-	return g.Neighbors(u, buf)
+	return append(buf[:0], g.row(u)...)
 }
 
 // DegreeBound implements topo.Source: the maximum degree.
@@ -275,22 +268,20 @@ func (g *Graph) IsRegular() (bool, int) {
 
 // BFS returns the distance from src to every vertex (-1 if unreachable).
 func (g *Graph) BFS(src int) []int32 {
-	return topo.BFS(g.ensure(), src)
+	dist := make([]int32, g.n)
+	topo.BFSSourceInto(g.ensure(), src, dist, make([]int32, 0, g.n), nil)
+	return dist
 }
 
 // Connected reports whether the graph is connected (true for N <= 1).
 func (g *Graph) Connected() bool {
-	if g.n <= 1 {
-		return true
-	}
-	ecc, _ := g.ensure().BFSInto(0, make([]int32, g.n), make([]int32, 0, g.n))
-	return ecc >= 0
+	return g.n <= 1 || g.Eccentricity(0) >= 0
 }
 
 // Eccentricity returns the maximum finite distance from src, or -1 if some
 // vertex is unreachable.
 func (g *Graph) Eccentricity(src int) int {
-	ecc, _ := g.ensure().BFSInto(src, make([]int32, g.n), make([]int32, 0, g.n))
+	ecc, _, _ := topo.BFSSourceInto(g.ensure(), src, make([]int32, g.n), make([]int32, 0, g.n), nil)
 	return int(ecc)
 }
 
@@ -302,7 +293,7 @@ func (g *Graph) Diameter() int {
 	queue := make([]int32, 0, g.n)
 	diam := 0
 	for u := 0; u < g.n; u++ {
-		ecc, _ := c.BFSInto(u, dist, queue)
+		ecc, _, _ := topo.BFSSourceInto(c, u, dist, queue, nil)
 		if ecc < 0 {
 			return -1
 		}
@@ -324,7 +315,7 @@ func (g *Graph) AverageDistance() float64 {
 	queue := make([]int32, 0, n)
 	var total int64
 	for u := 0; u < n; u++ {
-		ecc, sum := c.BFSInto(u, dist, queue)
+		ecc, sum, _ := topo.BFSSourceInto(c, u, dist, queue, nil)
 		if ecc < 0 {
 			return -1
 		}

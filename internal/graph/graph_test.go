@@ -46,8 +46,8 @@ func TestBasicEdgeOps(t *testing.T) {
 	if !g.HasEdge(2, 1) || g.HasEdge(0, 3) {
 		t.Error("HasEdge wrong")
 	}
-	if g.Degree(1) != 2 {
-		t.Errorf("Degree(1) = %d", g.Degree(1))
+	if d := len(g.NeighborsInto(1, nil)); d != 2 {
+		t.Errorf("Degree(1) = %d", d)
 	}
 }
 

@@ -11,15 +11,12 @@ import (
 	"ipg/internal/topo"
 )
 
-// This file parallelizes the all-sources distance computations (diameter,
-// average distance) that dominate the metric experiments.  The drivers
-// are generic over topo.Source: the same code sweeps a materialized CSR
-// arena (Graph delegates here) and a codec-backed topo.Implicit, with
-// the CSR fast path preserved inside the kernels by type switch.
-// Sources are processed 64 at a time by the bit-parallel multi-source
-// BFS kernel (topo.MSBFSSourceInto), and the batches are distributed
-// over a worker pool: compared with one scalar BFS per source this
-// shares every adjacency scan across the whole batch, which is where the
+// This file holds Distances, the one all-sources distance sweep: it
+// returns the diameter and the average distance of any topo.Source from a
+// single sweep.  Sources are processed 64 at a time by the bit-parallel
+// multi-source BFS kernel (topo.MSBFSSourceInto), and the batches are
+// distributed over a worker pool: compared with one scalar BFS per source
+// this shares every row scan across the whole batch, which is where the
 // per-family speedups reported in EXPERIMENTS.md come from.
 //
 // Vertex-transitive sources (a Graph marked by its family builder, or an
@@ -30,23 +27,79 @@ import (
 // all-sources sweep, so the existing parallel-equals-serial tests double
 // as a symmetry cross-check.
 //
-// Every entry point takes a context, used by the serving layer to
-// enforce per-request deadlines: each worker re-checks the context
-// between batches, so cancellation latency is bounded by one 64-source
-// batch rather than the whole all-pairs loop.
+// The context enforces the serving layer's per-request deadlines: each
+// worker re-checks it between batches, so cancellation latency is bounded
+// by one 64-source batch rather than the whole all-pairs loop.
 
 // batchSize is the MSBFS lane width: one bit per source in a uint64 word.
 const batchSize = 64
 
-// parallelBatchesSourceCtx partitions [0, n) into 64-source batches, runs
-// the multi-source BFS kernel on each over a GOMAXPROCS worker pool, and
-// hands every batch's eccentricities and distance sums to merge (which
-// must be safe for concurrent calls).  Workers check ctx between batches
-// and stop early when it is cancelled; batches already dispatched finish,
-// and the function returns ctx's error.  Traversal scratch comes from the
-// shared topo pool, so repeated metric builds allocate O(1) at steady
-// state.
-func parallelBatchesSourceCtx(ctx context.Context, src topo.Source, merge func(srcs []int32, ecc []int32, sum []int64)) error {
+// Distances computes the exact diameter and the mean distance over all
+// ordered vertex pairs (including self pairs, the paper's convention) of
+// any adjacency source, from one batched source-parallel sweep.  A source
+// that proves vertex transitivity (topo.Symmetric) collapses to a single
+// BFS.  Both results are -1 for a disconnected source and 0 for an empty
+// one; the error is ctx's, when it is cancelled between batches.
+func Distances(ctx context.Context, src topo.Source) (diameter int, avg float64, err error) {
+	vt := topo.SourceTransitive(src)
+	if g, ok := src.(*Graph); ok {
+		// Sweep the arena itself so the kernels read rows in place; the
+		// transitivity mark lives on the Graph, hence read first.
+		src = g.ensure()
+	}
+	n := src.N()
+	if n == 0 {
+		return 0, 0, nil
+	}
+	if vt {
+		if err := ctx.Err(); err != nil {
+			return 0, 0, err
+		}
+		s := topo.GetScratch(n)
+		defer topo.PutScratch(s)
+		var ecc int32
+		var sum int64
+		ecc, sum, s.Nbuf = topo.BFSSourceInto(src, 0, s.Dist, s.Queue, s.NeighborBuf(src.DegreeBound()))
+		if ecc < 0 {
+			return -1, -1, nil
+		}
+		// Every vertex has the same distance sum, so the sweep total is
+		// sum*n: the int64 the full sweep accumulates, making the
+		// division below bit-identical to it.
+		return int(ecc), float64(sum*int64(n)) / float64(n) / float64(n), nil
+	}
+	var diam, total atomic.Int64
+	var disconnected atomic.Bool
+	err = sweep(ctx, src, func(ecc []int32, sum []int64) {
+		var batchMax, batchTotal int64
+		for i, e := range ecc {
+			if e < 0 {
+				disconnected.Store(true)
+				return
+			}
+			batchMax = max(batchMax, int64(e))
+			batchTotal += sum[i]
+		}
+		topo.AtomicMaxInt64(&diam, batchMax)
+		total.Add(batchTotal)
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	if disconnected.Load() {
+		return -1, -1, nil
+	}
+	return int(diam.Load()), float64(total.Load()) / float64(n) / float64(n), nil
+}
+
+// sweep partitions [0, n) into 64-source batches, runs the multi-source
+// BFS kernel on each over a GOMAXPROCS worker pool, and hands every
+// batch's eccentricities and distance sums to merge (which must be safe
+// for concurrent calls).  Workers check ctx between batches and stop
+// early when it is cancelled; batches already dispatched finish, and the
+// function returns ctx's error.  Traversal scratch comes from the shared
+// topo pool, so repeated metric builds allocate O(1) at steady state.
+func sweep(ctx context.Context, src topo.Source, merge func(ecc []int32, sum []int64)) error {
 	n := src.N()
 	batches := (n + batchSize - 1) / batchSize
 	run := func(b int, srcs []int32, s *topo.Scratch, ecc []int32, sum []int64, nbuf []int32) []int32 {
@@ -61,7 +114,7 @@ func parallelBatchesSourceCtx(ctx context.Context, src topo.Source, merge func(s
 			srcs = append(srcs, int32(v))
 		}
 		nbuf = topo.MSBFSSourceInto(src, srcs, s.MS(n), ecc[:len(srcs)], sum[:len(srcs)], nil, nbuf)
-		merge(srcs, ecc[:len(srcs)], sum[:len(srcs)])
+		merge(ecc[:len(srcs)], sum[:len(srcs)])
 		return nbuf
 	}
 	workers := runtime.GOMAXPROCS(0)
@@ -106,150 +159,4 @@ func parallelBatchesSourceCtx(ctx context.Context, src topo.Source, merge func(s
 	}
 	wg.Wait()
 	return ctx.Err()
-}
-
-// singleSourceSweep runs one pooled scalar BFS from vertex 0 — the
-// vertex-transitive shortcut shared by both metric entry points.
-func singleSourceSweep(ctx context.Context, src topo.Source) (ecc int32, sum int64, err error) {
-	if err := ctx.Err(); err != nil {
-		return 0, 0, err
-	}
-	n := src.N()
-	s := topo.GetScratch(n)
-	defer topo.PutScratch(s)
-	ecc, sum, _ = topo.BFSSourceInto(src, 0, s.Dist, s.Queue, make([]int32, 0, src.DegreeBound()))
-	return ecc, sum, nil
-}
-
-// diameterSourceCtx is the shared diameter driver; vt selects the
-// single-source shortcut (the caller's proof of vertex transitivity).
-func diameterSourceCtx(ctx context.Context, src topo.Source, vt bool) (int, error) {
-	if src.N() == 0 {
-		return 0, nil
-	}
-	if vt {
-		ecc, _, err := singleSourceSweep(ctx, src)
-		if err != nil {
-			return 0, err
-		}
-		return int(ecc), nil
-	}
-	var diam atomic.Int64
-	var disconnected atomic.Bool
-	err := parallelBatchesSourceCtx(ctx, src, func(_ []int32, ecc []int32, _ []int64) {
-		var batchMax int64
-		for _, e := range ecc {
-			if e < 0 {
-				disconnected.Store(true)
-				return
-			}
-			if int64(e) > batchMax {
-				batchMax = int64(e)
-			}
-		}
-		topo.AtomicMaxInt64(&diam, batchMax)
-	})
-	if err != nil {
-		return 0, err
-	}
-	if disconnected.Load() {
-		return -1, nil
-	}
-	return int(diam.Load()), nil
-}
-
-// avgDistanceSourceCtx is the shared average-distance driver; vt selects
-// the single-source shortcut.  The shortcut multiplies the one distance
-// sum by n — the same int64 total the full sweep accumulates, so the
-// final division is bit-identical to the swept result.
-func avgDistanceSourceCtx(ctx context.Context, src topo.Source, vt bool) (float64, error) {
-	n := src.N()
-	if n == 0 {
-		return 0, nil
-	}
-	if vt {
-		ecc, sum, err := singleSourceSweep(ctx, src)
-		if err != nil {
-			return 0, err
-		}
-		if ecc < 0 {
-			return -1, nil
-		}
-		total := sum * int64(n)
-		return float64(total) / float64(n) / float64(n), nil
-	}
-	var total atomic.Int64
-	var disconnected atomic.Bool
-	err := parallelBatchesSourceCtx(ctx, src, func(_ []int32, ecc []int32, sum []int64) {
-		var batchTotal int64
-		for i, e := range ecc {
-			if e < 0 {
-				disconnected.Store(true)
-				return
-			}
-			batchTotal += sum[i]
-		}
-		total.Add(batchTotal)
-	})
-	if err != nil {
-		return 0, err
-	}
-	if disconnected.Load() {
-		return -1, nil
-	}
-	return float64(total.Load()) / float64(n) / float64(n), nil
-}
-
-// DiameterSourceCtx computes the exact diameter of any adjacency source
-// with batched source-parallel BFS, collapsing to a single BFS when the
-// source proves vertex transitivity (topo.Symmetric).  It returns -1 for
-// disconnected sources and ctx's error if cancelled between batches.
-func DiameterSourceCtx(ctx context.Context, src topo.Source) (int, error) {
-	return diameterSourceCtx(ctx, src, topo.SourceTransitive(src))
-}
-
-// AverageDistanceSourceCtx computes the mean distance over all ordered
-// vertex pairs (including self pairs) of any adjacency source, with the
-// same transitivity shortcut and cancellation granularity as
-// DiameterSourceCtx; -1 if disconnected.
-func AverageDistanceSourceCtx(ctx context.Context, src topo.Source) (float64, error) {
-	return avgDistanceSourceCtx(ctx, src, topo.SourceTransitive(src))
-}
-
-// DiameterParallel computes the exact diameter with batched
-// source-parallel BFS.  It returns -1 for disconnected graphs.
-func (g *Graph) DiameterParallel() int {
-	d, _ := g.DiameterParallelCtx(context.Background())
-	return d
-}
-
-// DiameterParallelCtx is DiameterParallel under a context deadline: it
-// returns ctx's error if cancelled before all batches complete, checking
-// between 64-source batches.  Vertex-transitive graphs take the
-// single-source shortcut (every eccentricity is equal, so ecc(0) is the
-// diameter).  The sweep runs over the finalized CSR, hitting the arena
-// fast path of the Source kernels.
-func (g *Graph) DiameterParallelCtx(ctx context.Context) (int, error) {
-	if g.N() == 0 {
-		return 0, nil
-	}
-	return diameterSourceCtx(ctx, g.ensure(), g.vt)
-}
-
-// AverageDistanceParallel computes the mean distance over all ordered
-// pairs (including self pairs) with batched source-parallel BFS; -1 if
-// disconnected.
-func (g *Graph) AverageDistanceParallel() float64 {
-	avg, _ := g.AverageDistanceParallelCtx(context.Background())
-	return avg
-}
-
-// AverageDistanceParallelCtx is AverageDistanceParallel under a context
-// deadline, with the same cancellation granularity and vertex-transitive
-// shortcut as DiameterParallelCtx.
-func (g *Graph) AverageDistanceParallelCtx(ctx context.Context) (float64, error) {
-	if g.N() == 0 {
-		return 0, nil
-	}
-	return avgDistanceSourceCtx(ctx, g.ensure(), g.vt)
 }

@@ -1,10 +1,21 @@
 package graph
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// distances is Distances without a deadline.
+func distances(t *testing.T, g *Graph) (int, float64) {
+	t.Helper()
+	d, avg, err := Distances(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, avg
+}
 
 func TestParallelMatchesSerial(t *testing.T) {
 	graphs := []*Graph{
@@ -14,11 +25,11 @@ func TestParallelMatchesSerial(t *testing.T) {
 		CartesianProduct(ring(5), complete(4)),
 	}
 	for _, g := range graphs {
-		if dp, ds := g.DiameterParallel(), g.Diameter(); dp != ds {
+		dp, ap := distances(t, g)
+		if ds := g.Diameter(); dp != ds {
 			t.Errorf("diameter parallel %d != serial %d", dp, ds)
 		}
-		ap, as := g.AverageDistanceParallel(), g.AverageDistance()
-		if ap != as {
+		if as := g.AverageDistance(); ap != as {
 			t.Errorf("avg distance parallel %v != serial %v", ap, as)
 		}
 	}
@@ -29,18 +40,15 @@ func TestParallelDisconnected(t *testing.T) {
 	g.AddEdge(0, 1)
 	g.AddEdge(2, 3)
 	g.AddEdge(4, 5)
-	if g.DiameterParallel() != -1 {
-		t.Error("disconnected diameter should be -1")
-	}
-	if g.AverageDistanceParallel() != -1 {
-		t.Error("disconnected avg distance should be -1")
+	if d, a := distances(t, g); d != -1 || a != -1 {
+		t.Errorf("disconnected diameter/avg = %d/%v, want -1/-1", d, a)
 	}
 }
 
 func TestParallelEmpty(t *testing.T) {
 	g := New(0)
-	if g.DiameterParallel() != 0 {
-		t.Error("empty graph diameter should be 0")
+	if d, a := distances(t, g); d != 0 || a != 0 {
+		t.Errorf("empty graph diameter/avg = %d/%v, want 0/0", d, a)
 	}
 }
 
@@ -56,8 +64,8 @@ func TestQuickParallelRandomGraphs(t *testing.T) {
 		for e := 0; e < n/2; e++ {
 			g.AddEdge(r.Intn(n), r.Intn(n))
 		}
-		return g.DiameterParallel() == g.Diameter() &&
-			g.AverageDistanceParallel() == g.AverageDistance()
+		d, a := distances(t, g)
+		return d == g.Diameter() && a == g.AverageDistance()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)

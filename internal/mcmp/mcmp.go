@@ -13,6 +13,7 @@ package mcmp
 //lint:file-ignore ctxflow clustered-model constructors are one-shot O(N) passes over graphs bounded by ipg.MaxNodes (1<<22), run inside serve's build worker slot and timeout
 
 import (
+	"context"
 	"fmt"
 
 	"ipg/internal/graph"
@@ -130,15 +131,15 @@ func (c *Clustered) Quotient() *graph.Graph {
 	return q
 }
 
-// InterclusterDiameter returns the maximum intercluster distance between
-// any pair of nodes, assuming every chip's subgraph is connected (true for
-// all the paper's partitions): the quotient graph's diameter.
-func (c *Clustered) InterclusterDiameter() int { return c.Quotient().DiameterParallel() }
-
-// AvgInterclusterDistance returns the average intercluster distance over
-// ordered node pairs including self pairs; with uniform chip sizes this is
-// the quotient graph's average distance.
-func (c *Clustered) AvgInterclusterDistance() float64 { return c.Quotient().AverageDistanceParallel() }
+// InterclusterDistances returns the maximum intercluster distance between
+// any pair of nodes and the average over ordered node pairs including self
+// pairs, from one sweep of the quotient graph.  That assumes every chip's
+// subgraph is connected (true for all the paper's partitions) and, for
+// the average, uniform chip sizes.
+func (c *Clustered) InterclusterDistances() (diameter int, avg float64) {
+	diameter, avg, _ = graph.Distances(context.Background(), c.Quotient()) // Background is never cancelled
+	return diameter, avg
+}
 
 // PerOffChipLinkBandwidth returns the bandwidth of one off-chip link under
 // the given model, where chipCapacity is the fixed per-chip off-chip
@@ -228,6 +229,7 @@ func Analyze(c *Clustered, chipSide []int8, chipCapacity float64) (Analysis, err
 	}
 	per := c.OffChipLinksPerChip()
 	width := c.OffChipCut(side)
+	diam, avg := c.InterclusterDistances()
 	return Analysis{
 		Name:               c.Name,
 		N:                  c.G.N(),
@@ -236,8 +238,8 @@ func Analyze(c *Clustered, chipSide []int8, chipCapacity float64) (Analysis, err
 		OffChipLinks:       c.OffChipLinks(),
 		LinksPerChip:       per[0],
 		InterclusterDeg:    c.InterclusterDegree(),
-		InterclusterDiam:   c.InterclusterDiameter(),
-		AvgInterclusterDst: c.AvgInterclusterDistance(),
+		InterclusterDiam:   diam,
+		AvgInterclusterDst: avg,
 		PerLinkBW:          bw,
 		BisectionWidth:     width,
 		BisectionBandwidth: float64(width) * bw,

@@ -45,7 +45,7 @@ func TestWorkedExample12Cube(t *testing.T) {
 	}
 	// "The average intercluster distance of a 12-cube is exactly 4 when a
 	// cluster has 16 nodes."
-	if got := c.AvgInterclusterDistance(); got != 4.0 {
+	if _, got := c.InterclusterDistances(); got != 4.0 {
 		t.Errorf("avg intercluster distance = %v, want 4", got)
 	}
 	if got := HypercubeAvgInterclusterDistance(4096, 16); got != 4.0 {

@@ -141,14 +141,15 @@ func AnalyzeLevel(level string, c *Clustered, unitSide []int8, unitCapacity floa
 	if bwCount > 0 {
 		avgBW = bwSum / float64(bwCount)
 	}
+	diam, avg := c.InterclusterDistances()
 	return LevelProfile{
 		Level:              level,
 		Units:              c.Chips,
 		NodesPerUnit:       c.M,
 		LinksPerUnit:       maxLinks,
 		InterUnitDegree:    c.InterclusterDegree(),
-		InterUnitDiameter:  c.InterclusterDiameter(),
-		AvgInterUnitDist:   c.AvgInterclusterDistance(),
+		InterUnitDiameter:  diam,
+		AvgInterUnitDist:   avg,
 		PerLinkBW:          avgBW,
 		BisectionWidth:     width,
 		BisectionBandwidth: bandwidth,

@@ -3,6 +3,7 @@ package netsim
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -49,5 +50,12 @@ func TestRunnersCtxBackground(t *testing.T) {
 	}
 	if plain.Stats != withCtx.Stats {
 		t.Fatalf("ctx variant diverged: %+v vs %+v", plain.Stats, withCtx.Stats)
+	}
+	// A non-finite rate is refused, not run: +Inf would emit forever
+	// inside one round, where ctx is never polled.
+	for _, rate := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		if _, err := RunRandomUniformCtx(context.Background(), net, 7, rate, 5, 20); err == nil {
+			t.Errorf("rate %v: no error", rate)
+		}
 	}
 }

@@ -431,13 +431,16 @@ func TestTorusSimulatedNetwork(t *testing.T) {
 func TestGraphPortMap(t *testing.T) {
 	w := superipg.HSN(2, nucleus.Hypercube(2))
 	u := w.MustBuild().Undirected()
-	pm := topo.FromTopology(u, 2.5)
+	pm, err := topo.FromSource(u, 2.5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if pm.N() != u.N() {
 		t.Fatal("length mismatch")
 	}
 	for v := 0; v < u.N(); v++ {
-		if pm.Arity(v) != u.Degree(v) {
-			t.Fatalf("node %d has %d ports, degree %d", v, pm.Arity(v), u.Degree(v))
+		if pm.Arity(v) != u.CSR().Degree(v) {
+			t.Fatalf("node %d has %d ports, degree %d", v, pm.Arity(v), u.CSR().Degree(v))
 		}
 		for p := 0; p < pm.Arity(v); p++ {
 			if pm.Cap(v, p) != 2.5 {

@@ -3,6 +3,7 @@ package netsim
 import (
 	"context"
 	"fmt"
+	"math"
 )
 
 // This file drives the paper's communication-intensive workloads: random
@@ -33,8 +34,13 @@ func RunRandomUniform(net *Network, seed int64, rate float64, warmup, measure in
 }
 
 // RunRandomUniformCtx is RunRandomUniform under a context deadline,
-// checked once per simulated round.
+// checked once per simulated round.  A non-finite rate is an error: the
+// injector emits floor(rate) packets per node within one round, where ctx
+// is never polled.
 func RunRandomUniformCtx(ctx context.Context, net *Network, seed int64, rate float64, warmup, measure int) (RandomResult, error) {
+	if math.IsNaN(rate) || math.IsInf(rate, 0) {
+		return RandomResult{}, fmt.Errorf("netsim: injection rate %v is not finite", rate)
+	}
 	if err := checkNodeCount(net.N); err != nil {
 		return RandomResult{}, err
 	}

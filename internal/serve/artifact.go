@@ -556,15 +556,11 @@ func (a *Artifact) Diameter(ctx context.Context) (int, error) {
 		return d, nil
 	}
 	a.mu.Unlock()
-	var (
-		d   int
-		err error
-	)
+	var src topo.Source = a.Impl
 	if a.Materialized() {
-		d, err = a.U.DiameterParallelCtx(ctx)
-	} else {
-		d, err = graph.DiameterSourceCtx(ctx, a.Impl)
+		src = a.U
 	}
+	d, _, err := graph.Distances(ctx, src)
 	if err != nil {
 		return 0, err
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/bits"
 	"net/http"
 	"strconv"
 	"time"
@@ -266,6 +268,9 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) error {
 	if a.Source() == nil {
 		return badRequest("%s has no adjacency representation (label-level skeleton); no concrete routes", a.Name)
 	}
+	if src < 0 || src >= a.N || dst < 0 || dst >= a.N {
+		return badRequest("src/dst must be in [0, %d)", a.N)
+	}
 	if !a.Materialized() {
 		if a.N > implicitSweepMax {
 			return badRequest("%s has %d nodes, above the implicit route cap %d", a.Name, a.N, implicitSweepMax)
@@ -277,9 +282,6 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) error {
 			return err
 		}
 		defer release()
-	}
-	if src < 0 || src >= a.N || dst < 0 || dst >= a.N {
-		return badRequest("src/dst must be in [0, %d)", a.N)
 	}
 	path, err := shortestPath(r.Context(), a, src, dst)
 	if err != nil {
@@ -526,14 +528,24 @@ type SimulateResponse struct {
 // a worker slot, so no query can hold one until the request deadline.
 const SimMaxRounds = 4096
 
+// SimMaxRate caps the random workload's injection rate in packets per node
+// per round, which is also the per-node work of one injection round.  The
+// repository's own saturation sweeps stop at 3.0, and the simulated
+// families saturate well below that.
+const SimMaxRate = 4.0
+
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 	p, err := requestParams(r)
 	if err != nil {
 		return err
 	}
 	workload := queryValue(r, "workload")
-	if workload == "" {
+	switch workload {
+	case "":
 		workload = "random"
+	case "random", "te", "transpose":
+	default:
+		return badRequest("unknown workload %q (random|te|transpose)", workload)
 	}
 	rate, err := queryFloat(r, "rate", 0.2)
 	if err != nil {
@@ -555,11 +567,26 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
+	// rate and chipcap parse as floats, so NaN and ±Inf reach here; NaN
+	// fails every comparison below and must be refused explicitly.
+	if math.IsNaN(rate) || math.IsInf(rate, 0) || math.IsNaN(chipCap) || math.IsInf(chipCap, 0) {
+		return badRequest("rate and chipcap must be finite numbers")
+	}
 	if rate <= 0 || chipCap <= 0 || warmup < 0 || measure <= 0 {
 		return badRequest("rate and chipcap must be positive, warmup >= 0, measure > 0")
 	}
+	if rate > SimMaxRate {
+		return badRequest("rate %g exceeds the simulation cap of %g packets/node/round", rate, SimMaxRate)
+	}
 	if measure > SimMaxRounds || warmup > SimMaxRounds-measure {
 		return badRequest("warmup %d + measure %d rounds exceeds the simulation cap of %d rounds", warmup, measure, SimMaxRounds)
+	}
+	fq, err := parseFaultQuery(r)
+	if err != nil {
+		return err
+	}
+	if fq != nil && fq.Spec.Count > 0 && fq.Spec.Mode == fault.Adversarial {
+		return badRequest("adversarial faults target graph cuts and have no port-level analogue; use /v1/metrics with fmode=adversarial")
 	}
 	if handled, err := s.maybeForward(w, r, p, ""); handled || err != nil {
 		return err
@@ -574,6 +601,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 	}
 	if a.N > s.cfg.SimMaxNodes {
 		return badRequest("%s has %d nodes, above the simulation cap %d", a.Name, a.N, s.cfg.SimMaxNodes)
+	}
+	logN := bits.TrailingZeros(uint(a.N))
+	if workload == "transpose" && (1<<logN != a.N || logN%2 != 0) {
+		return badRequest("transpose needs a power-of-two node count with an even number of address bits; %s has %d nodes", a.Name, a.N)
 	}
 
 	// Simulation runs are CPU-bound like builds, so they hold a worker
@@ -591,14 +622,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 
 	const maxDrainRounds = 1 << 20
 	resp := SimulateResponse{Network: a.Name, Workload: workload, Nodes: a.N}
-	fq, err := parseFaultQuery(r)
-	if err != nil {
-		return err
-	}
 	if fq != nil && fq.Spec.Count > 0 {
-		if fq.Spec.Mode == fault.Adversarial {
-			return badRequest("adversarial faults target graph cuts and have no port-level analogue; use /v1/metrics with fmode=adversarial")
-		}
 		dnet, sum, err := netsim.Degrade(net, fq.Spec)
 		if err != nil {
 			return badRequest("%v", err)
@@ -649,14 +673,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 		resp.Latency = res.Stats.AvgLatency()
 		resp.OffChip = res.Stats.OffChipPerPacket()
 	case "transpose":
-		logN := 0
-		//lint:ignore ctxflow counts the address bits of a.N: at most ~31 iterations and no per-vertex work, far below cancellation granularity
-		for 1<<logN < a.N {
-			logN++
-		}
-		if 1<<logN != a.N || logN%2 != 0 {
-			return badRequest("transpose needs a power-of-two node count with an even number of address bits; %s has %d nodes", a.Name, a.N)
-		}
 		perm, err := netsim.Transpose(logN)
 		if err != nil {
 			return badRequest("%v", err)
@@ -700,8 +716,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 		resp.Retried = res.Stats.Retried
 		resp.Latency = res.Stats.AvgLatency()
 		resp.OffChip = res.Stats.OffChipPerPacket()
-	default:
-		return badRequest("unknown workload %q (random|te|transpose)", workload)
 	}
 	return writeJSON(w, &resp)
 }

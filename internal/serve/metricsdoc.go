@@ -206,10 +206,10 @@ func ComputeMetrics(ctx context.Context, a *Artifact, withDiameter bool) (*Metri
 }
 
 // implicitMetrics computes (once) the implicit-representation block.
-// For vertex-transitive codecs under the sweep cap it runs the two
-// single-source sweeps (diameter and average distance collapse to one
-// BFS each from vertex 0); a ctx error is returned without memoizing so
-// a later request with a longer deadline can still succeed.
+// For vertex-transitive codecs under the sweep cap it runs one
+// single-source sweep (diameter and average distance collapse to one
+// BFS from vertex 0); a ctx error is returned without memoizing so a
+// later request with a longer deadline can still succeed.
 func (a *Artifact) implicitMetrics(ctx context.Context) (*ImplicitMetrics, error) {
 	a.mu.Lock()
 	if a.implM != nil {
@@ -225,11 +225,7 @@ func (a *Artifact) implicitMetrics(ctx context.Context) (*ImplicitMetrics, error
 		VertexTransitive: topo.SourceTransitive(a.Impl),
 	}
 	if a.sweepableImplicit() {
-		d, err := graph.DiameterSourceCtx(ctx, a.Impl)
-		if err != nil {
-			return nil, err
-		}
-		avg, err := graph.AverageDistanceSourceCtx(ctx, a.Impl)
+		d, avg, err := graph.Distances(ctx, a.Impl)
 		if err != nil {
 			return nil, err
 		}
@@ -282,11 +278,8 @@ func (a *Artifact) superMetrics(ctx context.Context) (*SuperMetrics, error) {
 		deg := w.InterclusterDegree(a.G)
 		sm.InterclusterLinks = &links
 		sm.InterclusterDegree = &deg
-		d, err := w.InterclusterDiameterCtx(ctx, a.G)
-		if err != nil {
-			return nil, err
-		}
-		avg, err := w.AvgInterclusterDistanceCtx(ctx, a.G)
+		q, _ := w.Quotient(a.G)
+		d, avg, err := graph.Distances(ctx, q)
 		if err != nil {
 			return nil, err
 		}

@@ -431,35 +431,60 @@ func TestSimulateFaults(t *testing.T) {
 // TestSimulateRoundCap checks that warmup+measure above SimMaxRounds is a
 // 400 naming the cap, decided before the request takes a worker slot: with
 // the only slot held and no queue, an over-cap query still gets its 400
-// rather than a 503.  The defaults and the cap itself stay accepted.
+// rather than a 503.  Every other input check of /v1/simulate — rate and
+// chipcap, workload, fault spec, transpose shape — and /v1/route's src/dst
+// range on an implicit artifact are held to the same ordering.  The
+// defaults and the caps themselves stay accepted.
 func TestSimulateRoundCap(t *testing.T) {
-	srv := NewServer(Config{Workers: 1, QueueDepth: -1})
+	srv := NewServer(Config{Workers: 1, QueueDepth: -1, ImplicitThreshold: 32})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	const base = "/v1/simulate?net=hypercube&dim=4&logm=1&rate=0.1"
 
+	// Build the artifacts the held-slot queries need first: a build takes
+	// the slot too.  Q6 (64 nodes) is above the threshold, so implicit.
+	for _, q := range []string{"net=hypercube&dim=4&logm=1", "net=hypercube&dim=5&logm=1", "net=hypercube&dim=6"} {
+		if resp := get(t, ts, "/v1/build?"+q, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("build %s: status %d", q, resp.StatusCode)
+		}
+	}
 	release, err := srv.acquireSlot(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range []string{
-		fmt.Sprintf("&warmup=%d&measure=1", SimMaxRounds),
-		fmt.Sprintf("&warmup=0&measure=%d", SimMaxRounds+1),
-		"&warmup=9223372036854775807&measure=9223372036854775807",
+	for _, tc := range []struct{ q, want string }{
+		{base + fmt.Sprintf("&warmup=%d&measure=1", SimMaxRounds), fmt.Sprint(SimMaxRounds)},
+		{base + fmt.Sprintf("&warmup=0&measure=%d", SimMaxRounds+1), fmt.Sprint(SimMaxRounds)},
+		{base + "&warmup=9223372036854775807&measure=9223372036854775807", fmt.Sprint(SimMaxRounds)},
+		{"/v1/simulate?net=hypercube&dim=4&logm=1&rate=Inf", "finite"},
+		{"/v1/simulate?net=hypercube&dim=4&logm=1&rate=NaN", "finite"},
+		{"/v1/simulate?net=hypercube&dim=4&logm=1&chipcap=Inf", "finite"},
+		{"/v1/simulate?net=hypercube&dim=4&logm=1&rate=1e9", fmt.Sprint(SimMaxRate)},
+		{base + "&workload=bogus&faults=4", "bogus"},
+		{base + "&faults=-1", "faults"},
+		{base + "&faults=2&fmode=bogus", "bogus"},
+		{base + "&faults=2&frouting=bogus", "frouting"},
+		{base + "&faults=2&fmode=adversarial", "adversarial"},
+		{"/v1/simulate?net=hypercube&dim=5&logm=1&workload=transpose", "transpose"},
+		{"/v1/route?net=hypercube&dim=6&src=0&dst=64", "src/dst"},
 	} {
 		var body map[string]string
-		if resp := get(t, ts, base+q, &body); resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s with the pool full: status %d, want 400", q, resp.StatusCode)
+		if resp := get(t, ts, tc.q, &body); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s with the pool full: status %d, want 400", tc.q, resp.StatusCode)
 		}
-		if want := fmt.Sprint(SimMaxRounds); !strings.Contains(body["error"], want) {
-			t.Errorf("%s: error %q does not state the cap %s", q, body["error"], want)
+		if !strings.Contains(body["error"], tc.want) {
+			t.Errorf("%s: error %q does not mention %q", tc.q, body["error"], tc.want)
 		}
 	}
 	release()
 
-	for _, q := range []string{"", fmt.Sprintf("&warmup=%d&measure=%d", SimMaxRounds/2, SimMaxRounds/2)} {
+	for _, q := range []string{
+		base,
+		base + fmt.Sprintf("&warmup=%d&measure=%d", SimMaxRounds/2, SimMaxRounds/2),
+		fmt.Sprintf("/v1/simulate?net=hypercube&dim=4&logm=1&rate=%g&warmup=5&measure=5", SimMaxRate),
+	} {
 		var resp SimulateResponse
-		if r := get(t, ts, base+q, &resp); r.StatusCode != http.StatusOK {
+		if r := get(t, ts, q, &resp); r.StatusCode != http.StatusOK {
 			t.Fatalf("%q: status %d, want 200", q, r.StatusCode)
 		}
 	}

@@ -352,7 +352,8 @@ func (w *Network) Quotient(g *ipg.Graph) (*graph.Graph, []int32) {
 // node pairs: the diameter of the quotient graph.
 func (w *Network) InterclusterDiameter(g *ipg.Graph) int {
 	q, _ := w.Quotient(g)
-	return q.DiameterParallel()
+	d, _, _ := graph.Distances(context.Background(), q) // Background is never cancelled
+	return d
 }
 
 // AvgInterclusterDistance returns the average intercluster distance over
@@ -361,21 +362,8 @@ func (w *Network) InterclusterDiameter(g *ipg.Graph) int {
 // graph's average distance.
 func (w *Network) AvgInterclusterDistance(g *ipg.Graph) float64 {
 	q, _ := w.Quotient(g)
-	return q.AverageDistanceParallel()
-}
-
-// InterclusterDiameterCtx is InterclusterDiameter under a context
-// deadline, for the serving layer's per-request cancellation.
-func (w *Network) InterclusterDiameterCtx(ctx context.Context, g *ipg.Graph) (int, error) {
-	q, _ := w.Quotient(g)
-	return q.DiameterParallelCtx(ctx)
-}
-
-// AvgInterclusterDistanceCtx is AvgInterclusterDistance under a context
-// deadline.
-func (w *Network) AvgInterclusterDistanceCtx(ctx context.Context, g *ipg.Graph) (float64, error) {
-	q, _ := w.Quotient(g)
-	return q.AverageDistanceParallelCtx(ctx)
+	_, avg, _ := graph.Distances(context.Background(), q) // Background is never cancelled
+	return avg
 }
 
 // DirectedInterclusterDiameter computes the intercluster diameter of a
@@ -398,13 +386,13 @@ func (w *Network) DirectedInterclusterDiameter(g *ipg.Graph) int {
 		panic("superipg: " + err.Error())
 	}
 	// The quotient arcs are directed, so the bit-parallel kernel's
-	// bottom-up pass (which assumes a symmetric CSR) does not apply; the
+	// bottom-up pass (which assumes symmetric rows) does not apply; the
 	// scalar sweep stays, on pooled scratch.
 	diam := 0
 	s := topo.GetScratch(nc)
 	defer topo.PutScratch(s)
 	for src := 0; src < nc; src++ {
-		ecc, _ := arcs.BFSInto(src, s.Dist, s.Queue)
+		ecc, _, _ := topo.BFSSourceInto(arcs, src, s.Dist, s.Queue, nil)
 		if ecc < 0 {
 			return -1 // not strongly connected at the cluster level
 		}

@@ -1,7 +1,7 @@
 package topo
 
-// Implicit is the codec-backed adjacency implementation: a Source (and
-// Topology) whose neighbor rows are computed on demand from a rank/unrank
+// Implicit is the codec-backed adjacency implementation: a Source whose
+// neighbor rows are computed on demand from a rank/unrank
 // codec instead of being stored in an arena.  Its memory footprint is the
 // codec struct — independent of the vertex count — which is what lets the
 // serving layer keep huge families resident at ~zero cache cost.
@@ -28,7 +28,7 @@ func (im *Implicit) Codec() Codec { return im.codec }
 // CodecName returns the codec's identifying name.
 func (im *Implicit) CodecName() string { return im.codec.Name() }
 
-// N implements Source and Topology.
+// N implements Source.
 func (im *Implicit) N() int { return im.codec.N() }
 
 // DegreeBound implements Source.
@@ -46,19 +46,6 @@ func (im *Implicit) NeighborsInto(v int, buf []int32) []int32 {
 	buf = im.codec.AppendNeighbors(v, buf[:0])
 	//lint:ignore indextrunc v < N() <= MaxVertices (math.MaxInt32)
 	return CanonicalizeRow(buf, int32(v))
-}
-
-// Neighbors implements Topology (same contract as NeighborsInto).
-func (im *Implicit) Neighbors(v int, buf []int32) []int32 {
-	return im.NeighborsInto(v, buf)
-}
-
-// Degree implements Topology by generating and canonicalizing the row.
-// It allocates a small scratch buffer per call; degree-heavy loops should
-// use NeighborsInto with a reused buffer and take len() instead.
-func (im *Implicit) Degree(v int) int {
-	buf := make([]int32, 0, im.codec.DegreeBound())
-	return len(im.NeighborsInto(v, buf))
 }
 
 // ByteSize reports the resident footprint of the implicit representation:

@@ -31,20 +31,25 @@ func randomMasks(r *rand.Rand, c *CSR) (vdead, adead []uint64) {
 	return vdead, adead
 }
 
-// TestMaskedNilMasksMatchUnmasked: with nil masks the masked scalar BFS
-// must reproduce the plain kernel bit for bit.
+// TestMaskedNilMasksMatchUnmasked: with nil masks, and with masks that
+// hide nothing (which take the masked loops), the masked scalar BFS must
+// reproduce the plain kernel bit for bit.
 func TestMaskedNilMasksMatchUnmasked(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 10; trial++ {
+	for trial := 0; trial < 20; trial++ {
 		n := 16 + r.Intn(200)
-		c := randomCSR(t, r, n, trial%2 == 0)
+		c := randomCSR(t, r, n, trial%4 < 2)
+		var vdead, adead []uint64
+		if trial%2 == 1 {
+			vdead, adead = NewBitset(n), NewBitset(c.Arcs())
+		}
 		dist := make([]int32, n)
 		queue := make([]int32, 0, n)
 		dist2 := make([]int32, n)
 		queue2 := make([]int32, 0, n)
 		for src := 0; src < n; src++ {
-			ecc, sum := c.BFSInto(src, dist, queue)
-			mecc, msum, reached := c.BFSMaskedInto(src, nil, nil, dist2, queue2)
+			ecc, sum, _ := BFSSourceInto(c, src, dist, queue, nil)
+			mecc, msum, reached, _ := bfs(c, src, vdead, adead, dist2, queue2, nil)
 			// The unmasked kernel encodes disconnection as ecc = -1; the
 			// masked kernel reports the reached count instead.
 			if ecc >= 0 {
@@ -65,7 +70,10 @@ func TestMaskedNilMasksMatchUnmasked(t *testing.T) {
 
 // TestMaskedMSBFSMatchesMaskedScalar: the bit-parallel masked kernel must
 // agree with the masked scalar BFS on ecc, distance sum, and reached count
-// for every source, under random vertex+arc masks.
+// for every source, under random vertex+arc masks.  The arena result is
+// the reference for a sliceTopo copy of the same rows, with and without
+// the vertex mask, so each kernel's NeighborsInto arm is checked against
+// its arena arm.
 func TestMaskedMSBFSMatchesMaskedScalar(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 10; trial++ {
@@ -81,18 +89,31 @@ func TestMaskedMSBFSMatchesMaskedScalar(t *testing.T) {
 		if len(sources) == 0 {
 			continue
 		}
+		st := sliceOf(c)
 		scratch := NewMSBFSScratch(n)
 		ecc := make([]int32, len(sources))
 		sum := make([]int64, len(sources))
 		reached := make([]int32, len(sources))
-		c.MSBFSMaskedInto(sources, scratch, vdead, adead, ecc, sum, reached)
 		dist := make([]int32, n)
 		queue := make([]int32, 0, n)
-		for i, src := range sources {
-			secc, ssum, sreached := c.BFSMaskedInto(int(src), vdead, adead, dist, queue)
-			if ecc[i] != secc || sum[i] != ssum || reached[i] != sreached {
-				t.Fatalf("trial %d src %d: msbfs (%d,%d,%d) vs scalar (%d,%d,%d)",
-					trial, src, ecc[i], sum[i], reached[i], secc, ssum, sreached)
+		for _, tc := range []struct {
+			s            Source
+			vdead, adead []uint64
+		}{
+			{c, vdead, adead},
+			{c, vdead, nil},
+			{st, vdead, nil},
+			{st, nil, nil},
+		} {
+			MSBFSMaskedSourceInto(tc.s, sources, scratch, tc.vdead, tc.adead, ecc, sum, reached, nil)
+			for i, src := range sources {
+				secc, ssum, sreached, _ := bfs(tc.s, int(src), tc.vdead, tc.adead, dist, queue, nil)
+				recc, rsum, rreached, _ := bfs(c, int(src), tc.vdead, tc.adead, dist, queue, nil)
+				if ecc[i] != secc || sum[i] != ssum || reached[i] != sreached ||
+					secc != recc || ssum != rsum || sreached != rreached {
+					t.Fatalf("trial %d %T src %d: msbfs (%d,%d,%d) vs scalar (%d,%d,%d) vs arena scalar (%d,%d,%d)",
+						trial, tc.s, src, ecc[i], sum[i], reached[i], secc, ssum, sreached, recc, rsum, rreached)
+				}
 			}
 		}
 	}
@@ -111,7 +132,7 @@ func TestMaskedDeadSourcePanics(t *testing.T) {
 		}
 	}()
 	scratch := NewMSBFSScratch(32)
-	c.MSBFSMaskedInto([]int32{3}, scratch, vdead, nil, make([]int32, 1), make([]int64, 1), make([]int32, 1))
+	MSBFSMaskedSourceInto(c, []int32{3}, scratch, vdead, nil, make([]int32, 1), make([]int64, 1), make([]int32, 1), nil)
 }
 
 // TestArcAccessors pins the ArcIndex/ArcSource/ArcTarget/RowStart

@@ -49,15 +49,17 @@ func randomCSR(t *testing.T, r *rand.Rand, n int, connected bool) *CSR {
 	return c
 }
 
-// checkMSBFSMatchesScalar runs the batched kernel over every vertex of c
+// checkMSBFSMatchesScalar runs the batched kernel over every vertex of s
 // in batches of width batch and cross-checks ecc, sum, and the full
-// distance vectors against scalar BFSInto, bit for bit.
-func checkMSBFSMatchesScalar(t *testing.T, c *CSR, batch int) {
+// distance vectors against the scalar kernel on c, the arena holding the
+// same rows, bit for bit.  A sliceTopo s compares the kernels'
+// NeighborsInto arm against the arena arm.
+func checkMSBFSMatchesScalar(t *testing.T, s Source, c *CSR, batch int) {
 	t.Helper()
 	n := c.N()
 	scalarDist := make([]int32, n)
 	queue := make([]int32, 0, n)
-	s := NewMSBFSScratch(n)
+	sc := NewMSBFSScratch(n)
 	ecc := make([]int32, batch)
 	sum := make([]int64, batch)
 	dist := make([]int32, batch*n)
@@ -71,12 +73,12 @@ func checkMSBFSMatchesScalar(t *testing.T, c *CSR, batch int) {
 		for v := lo; v < hi; v++ {
 			srcs = append(srcs, int32(v))
 		}
-		c.MSBFSInto(srcs, s, ecc, sum, dist)
+		MSBFSSourceInto(s, srcs, sc, ecc, sum, dist, nil)
 		for i, src := range srcs {
-			wantEcc, wantSum := c.BFSInto(int(src), scalarDist, queue)
+			wantEcc, wantSum, _ := BFSSourceInto(c, int(src), scalarDist, queue, nil)
 			if ecc[i] != wantEcc || sum[i] != wantSum {
-				t.Fatalf("src %d (batch %d): msbfs ecc=%d sum=%d, scalar ecc=%d sum=%d",
-					src, batch, ecc[i], sum[i], wantEcc, wantSum)
+				t.Fatalf("%T src %d (batch %d): msbfs ecc=%d sum=%d, scalar ecc=%d sum=%d",
+					s, src, batch, ecc[i], sum[i], wantEcc, wantSum)
 			}
 			for v := 0; v < n; v++ {
 				if dist[i*n+v] != scalarDist[v] {
@@ -95,11 +97,13 @@ func TestMSBFSMatchesScalarRandom(t *testing.T) {
 				continue
 			}
 			c := randomCSR(t, r, n, connected)
-			for _, batch := range []int{1, 3, 64} {
-				if batch > n && batch != 64 {
-					continue
+			for _, s := range []Source{c, sliceOf(c)} {
+				for _, batch := range []int{1, 3, 64} {
+					if batch > n && batch != 64 {
+						continue
+					}
+					checkMSBFSMatchesScalar(t, s, c, batch)
 				}
-				checkMSBFSMatchesScalar(t, c, batch)
 			}
 		}
 	}
@@ -117,7 +121,8 @@ func TestMSBFSDenseLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkMSBFSMatchesScalar(t, c, 64)
+	checkMSBFSMatchesScalar(t, c, c, 64)
+	checkMSBFSMatchesScalar(t, sliceOf(c), c, 64)
 }
 
 // TestMSBFSDuplicateSources allows two batch lanes to start at the same
@@ -129,11 +134,11 @@ func TestMSBFSDuplicateSources(t *testing.T) {
 	srcs := []int32{5, 5, 17}
 	ecc := make([]int32, len(srcs))
 	sum := make([]int64, len(srcs))
-	c.MSBFSInto(srcs, s, ecc, sum, nil)
+	MSBFSSourceInto(c, srcs, s, ecc, sum, nil, nil)
 	dist := make([]int32, c.N())
 	queue := make([]int32, 0, c.N())
 	for i, src := range srcs {
-		wantEcc, wantSum := c.BFSInto(int(src), dist, queue)
+		wantEcc, wantSum, _ := BFSSourceInto(c, int(src), dist, queue, nil)
 		if ecc[i] != wantEcc || sum[i] != wantSum {
 			t.Fatalf("lane %d (src %d): got ecc=%d sum=%d, want ecc=%d sum=%d",
 				i, src, ecc[i], sum[i], wantEcc, wantSum)
@@ -150,28 +155,29 @@ func TestMSBFSScratchReuse(t *testing.T) {
 		c := randomCSR(t, r, n, true)
 		ecc := make([]int32, 1)
 		sum := make([]int64, 1)
-		c.MSBFSInto([]int32{0}, s, ecc, sum, nil)
+		MSBFSSourceInto(c, []int32{0}, s, ecc, sum, nil, nil)
 		dist := make([]int32, n)
-		wantEcc, wantSum := c.BFSInto(0, dist, make([]int32, 0, n))
+		wantEcc, wantSum, _ := BFSSourceInto(c, 0, dist, make([]int32, 0, n), nil)
 		if ecc[0] != wantEcc || sum[0] != wantSum {
 			t.Fatalf("n=%d: got ecc=%d sum=%d, want ecc=%d sum=%d", n, ecc[0], sum[0], wantEcc, wantSum)
 		}
 	}
 }
 
-// TestBFSGenericMatchesCSR pins the satellite fix: the interface fallback
-// must report disconnected components exactly like the CSR fast path.
+// TestBFSGenericMatchesCSR: the scalar kernel's NeighborsInto arm must
+// report distances and disconnected components exactly like the arena arm.
 func TestBFSGenericMatchesCSR(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for _, connected := range []bool{true, false} {
 		c := randomCSR(t, r, 40, connected)
+		st := sliceOf(c)
 		n := c.N()
 		dist := make([]int32, n)
 		queue := make([]int32, 0, n)
 		gdist := make([]int32, n)
 		for src := 0; src < n; src++ {
-			wantEcc, wantSum := c.BFSInto(src, dist, queue)
-			gotEcc, gotSum, _ := BFSGenericInto(Topology(c), src, gdist, queue, nil)
+			wantEcc, wantSum, _ := BFSSourceInto(c, src, dist, queue, nil)
+			gotEcc, gotSum, _ := BFSSourceInto(st, src, gdist, queue, nil)
 			if gotEcc != wantEcc || gotSum != wantSum {
 				t.Fatalf("src %d: generic ecc=%d sum=%d, CSR ecc=%d sum=%d",
 					src, gotEcc, gotSum, wantEcc, wantSum)

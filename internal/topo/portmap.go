@@ -40,38 +40,13 @@ func NewUniformPortMap(n, arity int) (*PortMap, error) {
 	return pm, nil
 }
 
-// FromTopology returns the PortMap of t with port p of u = u's p-th sorted
-// neighbor and every link at the given capacity.
-func FromTopology(t Topology, capacity float64) *PortMap {
-	n := t.N()
-	off := make([]uint32, n+1)
-	var total uint64
-	for v := 0; v < n; v++ {
-		total += uint64(t.Degree(v))
-		if total > maxArcs {
-			panic("topo.FromTopology: arc count overflows the uint32 offset representation")
-		}
-		off[v+1] = uint32(total)
-	}
-	pm := &PortMap{off: off, ports: make([]int32, total), caps: make([]float64, total)}
-	var buf []int32
-	for v := 0; v < n; v++ {
-		buf = t.Neighbors(v, buf)
-		copy(pm.ports[off[v]:off[v+1]], buf)
-	}
-	for i := range pm.caps {
-		pm.caps[i] = capacity
-	}
-	return pm
-}
-
 // FromSource returns the PortMap of any adjacency source with port p of
 // u = u's p-th canonical neighbor and every link at the given capacity.
 // This is how the packet simulator consumes implicit (codec-backed)
 // topologies: the per-node queue state of a simulation is O(N) regardless
 // of representation, so materializing the port banks here costs nothing
-// asymptotically, and the port numbering matches FromTopology on the CSR
-// of the same family because both use the canonical sorted row order.
+// asymptotically, and a CSR and an implicit codec of the same family get
+// the same port numbering because both emit the canonical sorted rows.
 func FromSource(s Source, capacity float64) (*PortMap, error) {
 	n := s.N()
 	off := make([]uint32, n+1)

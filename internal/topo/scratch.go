@@ -15,7 +15,7 @@ type Scratch struct {
 	// Dist is a length-n distance vector (contents are garbage until a
 	// BFS overwrites them).
 	Dist []int32
-	// Queue is an empty queue with capacity >= n, making BFSInto
+	// Queue is an empty queue with capacity >= n, making BFSSourceInto
 	// allocation-free.
 	Queue []int32
 

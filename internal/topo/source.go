@@ -29,8 +29,9 @@ type Source interface {
 // construction.
 func (c *CSR) DegreeBound() int { return c.maxDeg }
 
-// NeighborsInto implements Source; for a CSR it is exactly Neighbors (the
-// arena rows already satisfy the Source ordering contract).
+// NeighborsInto implements Source by copying Row(v) (the arena rows
+// already satisfy the Source ordering contract).  The traversal kernels
+// read arena rows in place instead.
 func (c *CSR) NeighborsInto(v int, buf []int32) []int32 {
 	return append(buf[:0], c.Row(v)...)
 }

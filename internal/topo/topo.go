@@ -1,7 +1,10 @@
-// Package topo is the single adjacency substrate of the repository: a
-// compressed-sparse-row (CSR) representation with one flat []int32
-// neighbor arena, the streaming count-then-fill builders that produce it,
-// and the port-labelled view consumed by routers and schedules.
+// Package topo is the single adjacency substrate of the repository: the
+// Source contract every traversal reads rows through, its two
+// implementations (a compressed-sparse-row (CSR) arena with one flat
+// []int32 neighbor array, built by streaming count-then-fill builders, and
+// codec-backed Implicit rows), the two traversal kernels (scalar BFS and
+// 64-source MSBFS, both maskable for faults, in bfs.go), and the
+// port-labelled view consumed by routers and schedules.
 //
 // Every layer — the graph metrics, the family builders in
 // internal/topology and internal/superipg, the emulation engines, and the
@@ -18,18 +21,6 @@ import (
 	"math"
 	"sort"
 )
-
-// Topology is the neighbor-enumeration view every metric consumer needs:
-// vertex count, degrees, and neighbor lists.  Implementations must return
-// each vertex's neighbors in ascending order so downstream iteration
-// (bisection refinement, DOT output, equality) is deterministic.
-type Topology interface {
-	N() int
-	Degree(v int) int
-	// Neighbors appends v's sorted neighbors to buf[:0] and returns it.
-	// Passing a buffer with cap >= Degree(v) makes the call allocation-free.
-	Neighbors(v int, buf []int32) []int32
-}
 
 // Symmetric is the optional vertex-transitivity capability: a topology
 // (or graph facade) whose automorphism group acts transitively on
@@ -95,11 +86,6 @@ func (c *CSR) Degree(v int) int { return int(c.off[v+1] - c.off[v]) }
 // Row returns v's sorted neighbor slice as a zero-copy view into the
 // arena.  The returned slice is owned by the CSR and must not be modified.
 func (c *CSR) Row(v int) []int32 { return c.arena[c.off[v]:c.off[v+1]] }
-
-// Neighbors implements Topology by appending Row(v) to buf[:0].
-func (c *CSR) Neighbors(v int, buf []int32) []int32 {
-	return append(buf[:0], c.Row(v)...)
-}
 
 // HasArc reports whether the arc u->v is present, by binary search on u's
 // sorted row.

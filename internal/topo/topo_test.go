@@ -50,7 +50,7 @@ func TestBuildSortsDedupsAndDropsLoops(t *testing.T) {
 	if !c.HasArc(0, 3) || c.HasArc(0, 2) || c.HasArc(3, 3) {
 		t.Error("HasArc wrong")
 	}
-	buf := c.Neighbors(1, nil)
+	buf := c.NeighborsInto(1, nil)
 	if len(buf) != 2 || buf[0] != 0 || buf[1] != 2 {
 		t.Errorf("Neighbors(1) = %v", buf)
 	}
@@ -102,16 +102,16 @@ func TestBuildRejectsUnstableStream(t *testing.T) {
 
 func TestBFSOnRing(t *testing.T) {
 	c := ring(t, 8)
-	dist := BFS(c, 0)
+	dist := make([]int32, 8)
+	ecc, sum, _ := BFSSourceInto(c, 0, dist, make([]int32, 0, 8), nil)
 	want := []int32{0, 1, 2, 3, 4, 3, 2, 1}
 	for v, d := range want {
 		if dist[v] != d {
 			t.Fatalf("dist = %v, want %v", dist, want)
 		}
 	}
-	ecc, sum := c.BFSInto(0, make([]int32, 8), make([]int32, 0, 8))
 	if ecc != 4 || sum != 16 {
-		t.Errorf("BFSInto: ecc=%d sum=%d, want 4, 16", ecc, sum)
+		t.Errorf("BFSSourceInto: ecc=%d sum=%d, want 4, 16", ecc, sum)
 	}
 }
 
@@ -120,28 +120,43 @@ func TestBFSDisconnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ecc, _ := c.BFSInto(0, make([]int32, 4), nil); ecc != -1 {
+	if ecc, _, _ := BFSSourceInto(c, 0, make([]int32, 4), nil, nil); ecc != -1 {
 		t.Errorf("ecc = %d on a disconnected graph, want -1", ecc)
 	}
 }
 
-// sliceTopo is a non-CSR Topology, exercising BFS's interface path.
+// sliceTopo is a non-CSR Source, so the kernels read its rows through
+// NeighborsInto rather than in place.
 type sliceTopo [][]int32
 
-func (s sliceTopo) N() int           { return len(s) }
-func (s sliceTopo) Degree(v int) int { return len(s[v]) }
-func (s sliceTopo) Neighbors(v int, buf []int32) []int32 {
+// sliceOf copies c's rows into a sliceTopo.
+func sliceOf(c *CSR) sliceTopo {
+	st := make(sliceTopo, c.N())
+	for v := range st {
+		st[v] = c.NeighborsInto(v, nil)
+	}
+	return st
+}
+
+func (s sliceTopo) N() int { return len(s) }
+func (s sliceTopo) DegreeBound() int {
+	d := 0
+	for _, row := range s {
+		d = max(d, len(row))
+	}
+	return d
+}
+func (s sliceTopo) NeighborsInto(v int, buf []int32) []int32 {
 	return append(buf[:0], s[v]...)
 }
 
 func TestBFSInterfacePathMatchesCSR(t *testing.T) {
 	c := ring(t, 6)
-	var st sliceTopo
-	for v := 0; v < c.N(); v++ {
-		st = append(st, c.Neighbors(v, nil))
-	}
+	st := sliceOf(c)
+	a, b := make([]int32, 6), make([]int32, 6)
 	for src := 0; src < 6; src++ {
-		a, b := BFS(c, src), BFS(st, src)
+		BFSSourceInto(c, src, a, nil, nil)
+		BFSSourceInto(st, src, b, nil, nil)
 		for v := range a {
 			if a[v] != b[v] {
 				t.Fatalf("src %d: CSR and interface BFS disagree at %d: %d vs %d", src, v, a[v], b[v])
@@ -192,17 +207,22 @@ func TestPortMapFromRows(t *testing.T) {
 	}
 }
 
-func TestFromTopology(t *testing.T) {
+func TestFromSource(t *testing.T) {
 	c := ring(t, 4)
-	pm := FromTopology(c, 2.5)
-	for v := 0; v < 4; v++ {
-		if pm.Arity(v) != c.Degree(v) {
-			t.Fatalf("node %d arity %d, degree %d", v, pm.Arity(v), c.Degree(v))
+	for _, s := range []Source{c, sliceOf(c)} {
+		pm, err := FromSource(s, 2.5)
+		if err != nil {
+			t.Fatal(err)
 		}
-		row := c.Row(v)
-		for p := range row {
-			if pm.Port(v, p) != row[p] || pm.Cap(v, p) != 2.5 {
-				t.Fatalf("node %d port %d mismatch", v, p)
+		for v := 0; v < 4; v++ {
+			if pm.Arity(v) != c.Degree(v) {
+				t.Fatalf("%T node %d arity %d, degree %d", s, v, pm.Arity(v), c.Degree(v))
+			}
+			row := c.Row(v)
+			for p := range row {
+				if pm.Port(v, p) != row[p] || pm.Cap(v, p) != 2.5 {
+					t.Fatalf("%T node %d port %d mismatch", s, v, p)
+				}
 			}
 		}
 	}

@@ -1,9 +1,11 @@
 package topology
 
 import (
+	"context"
 	"testing"
 
 	"ipg/internal/graph"
+	"ipg/internal/topo"
 )
 
 // TestVertexTransitiveFamilies checks, for every family marked
@@ -32,19 +34,23 @@ func TestVertexTransitiveFamilies(t *testing.T) {
 		n := f.g.N()
 		dist := make([]int32, n)
 		queue := make([]int32, 0, n)
-		ecc0, sum0 := c.BFSInto(0, dist, queue)
+		ecc0, sum0, _ := topo.BFSSourceInto(c, 0, dist, queue, nil)
 		for v := 1; v < n; v++ {
-			ecc, sum := c.BFSInto(v, dist, queue)
+			ecc, sum, _ := topo.BFSSourceInto(c, v, dist, queue, nil)
 			if ecc != ecc0 || sum != sum0 {
 				t.Fatalf("%s: vertex %d has ecc=%d sum=%d, vertex 0 has ecc=%d sum=%d — not vertex-transitive",
 					f.name, v, ecc, sum, ecc0, sum0)
 			}
 		}
-		if got, want := f.g.DiameterParallel(), f.g.Diameter(); got != want {
-			t.Errorf("%s: DiameterParallel = %d, serial = %d", f.name, got, want)
+		d, avg, err := graph.Distances(context.Background(), f.g)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got, want := f.g.AverageDistanceParallel(), f.g.AverageDistance(); got != want {
-			t.Errorf("%s: AverageDistanceParallel = %v, serial = %v", f.name, got, want)
+		if want := f.g.Diameter(); d != want {
+			t.Errorf("%s: parallel diameter = %d, serial = %d", f.name, d, want)
+		}
+		if want := f.g.AverageDistance(); avg != want {
+			t.Errorf("%s: parallel avg distance = %v, serial = %v", f.name, avg, want)
 		}
 	}
 }
@@ -74,7 +80,7 @@ func TestAddEdgeClearsTransitivity(t *testing.T) {
 	if h.G.VertexTransitive() {
 		t.Error("mark survived AddEdge")
 	}
-	if got, want := h.G.DiameterParallel(), h.G.Diameter(); got != want {
-		t.Errorf("after mutation: DiameterParallel = %d, serial = %d", got, want)
+	if got, _, _ := graph.Distances(context.Background(), h.G); got != h.G.Diameter() {
+		t.Errorf("after mutation: parallel diameter = %d, serial = %d", got, h.G.Diameter())
 	}
 }
