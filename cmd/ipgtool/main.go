@@ -204,8 +204,7 @@ func runSuperIPG(family string, l int, nucName string, sched, diameter bool, dot
 			g.N(), u.M(), min, avg, max)
 		fmt.Printf("intercluster links: %d, intercluster degree: %.4g\n",
 			w.InterclusterLinks(g), w.InterclusterDegree(g))
-		q, _ := w.Quotient(g)
-		icDiam, icAvg, err := graph.Distances(context.Background(), q)
+		icDiam, icAvg, err := w.InterclusterDistances(context.Background(), g)
 		fail(err)
 		fmt.Printf("measured intercluster diameter: %d, avg intercluster distance: %.4g\n", icDiam, icAvg)
 		if diameter {

@@ -1,6 +1,7 @@
 package ipg_test
 
 import (
+	"context"
 	"fmt"
 
 	"ipg"
@@ -41,7 +42,8 @@ func ExampleHSN() {
 	fmt.Println("nodes:", g.N())
 	fmt.Println("chips:", g.N()/net.M())
 	fmt.Println("intercluster diameter:", t)
-	fmt.Println("avg intercluster distance:", net.AvgInterclusterDistance(g))
+	_, avg, _ := net.InterclusterDistances(context.Background(), g)
+	fmt.Println("avg intercluster distance:", avg)
 	// Output:
 	// nodes: 4096
 	// chips: 256

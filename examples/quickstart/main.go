@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/cmplx"
@@ -46,8 +47,11 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("  intercluster diameter: %d (= l-1, Corollary 4.2)\n", t)
-	fmt.Printf("  avg intercluster distance: %.4g (hypercube with same chips: 4)\n",
-		net.AvgInterclusterDistance(g))
+	_, icAvg, err := net.InterclusterDistances(context.Background(), g)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("  avg intercluster distance: %.4g (hypercube with same chips: 4)\n", icAvg)
 
 	// 3. A 4096-point FFT, executed with the paper's descend algorithm.
 	r, err := ipg.NewFFTRunner(net, g)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"ipg/internal/analysis"
@@ -41,7 +42,7 @@ func runICDiameter(scale Scale) (*Result, error) {
 			if w.Family == "directed-CN" {
 				d = w.DirectedInterclusterDiameter(g)
 			} else {
-				d = w.InterclusterDiameter(g)
+				d, _, _ = w.InterclusterDistances(context.Background(), g) // Background is never cancelled
 			}
 			measured := fmt.Sprint(d)
 			okMeasured := d == l-1

@@ -278,8 +278,7 @@ func (a *Artifact) superMetrics(ctx context.Context) (*SuperMetrics, error) {
 		deg := w.InterclusterDegree(a.G)
 		sm.InterclusterLinks = &links
 		sm.InterclusterDegree = &deg
-		q, _ := w.Quotient(a.G)
-		d, avg, err := graph.Distances(ctx, q)
+		d, avg, err := w.InterclusterDistances(ctx, a.G)
 		if err != nil {
 			return nil, err
 		}

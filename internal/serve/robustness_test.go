@@ -459,7 +459,7 @@ func TestSimulateRoundCap(t *testing.T) {
 		{"/v1/simulate?net=hypercube&dim=4&logm=1&rate=Inf", "finite"},
 		{"/v1/simulate?net=hypercube&dim=4&logm=1&rate=NaN", "finite"},
 		{"/v1/simulate?net=hypercube&dim=4&logm=1&chipcap=Inf", "finite"},
-		{"/v1/simulate?net=hypercube&dim=4&logm=1&rate=1e9", fmt.Sprint(SimMaxRate)},
+		{"/v1/simulate?net=hypercube&dim=4&logm=1&rate=1e9", fmt.Sprintf("cap of %g", SimMaxRate)},
 		{base + "&workload=bogus&faults=4", "bogus"},
 		{base + "&faults=-1", "faults"},
 		{base + "&faults=2&fmode=bogus", "bogus"},

@@ -1,6 +1,7 @@
 package superipg
 
 import (
+	"context"
 	"testing"
 
 	"ipg/internal/nucleus"
@@ -31,7 +32,7 @@ func TestRHSNStructure(t *testing.T) {
 	if tVal != 1 {
 		t.Errorf("RHSN t = %d, want 1", tVal)
 	}
-	if d := w.InterclusterDiameter(g); d != 1 {
+	if d, _, _ := w.InterclusterDistances(context.Background(), g); d != 1 {
 		t.Errorf("measured intercluster diameter = %d, want 1", d)
 	}
 	// Corollary 4.4: symmetric diameter 2l-2 = 2.
@@ -85,7 +86,7 @@ func TestHFN(t *testing.T) {
 	if _, max, _ := u.DegreeStats(); max != 5 {
 		t.Errorf("HFN(3,3) max degree = %d, want 5", max)
 	}
-	if d := w.InterclusterDiameter(g); d != 1 {
+	if d, _, _ := w.InterclusterDistances(context.Background(), g); d != 1 {
 		t.Errorf("HFN intercluster diameter = %d, want 1", d)
 	}
 }

@@ -348,22 +348,15 @@ func (w *Network) Quotient(g *ipg.Graph) (*graph.Graph, []int32) {
 	return q, clusterOf
 }
 
-// InterclusterDiameter returns the maximum intercluster distance over all
-// node pairs: the diameter of the quotient graph.
-func (w *Network) InterclusterDiameter(g *ipg.Graph) int {
+// InterclusterDistances returns, from one sweep of the quotient graph, the
+// maximum intercluster distance over all node pairs (the quotient's
+// diameter) and the average over all ordered node pairs including
+// self-pairs (the paper's convention).  Because all clusters have exactly
+// M nodes, the average equals the quotient graph's average distance.  The
+// error is ctx's, if it ends first.
+func (w *Network) InterclusterDistances(ctx context.Context, g *ipg.Graph) (diameter int, avg float64, err error) {
 	q, _ := w.Quotient(g)
-	d, _, _ := graph.Distances(context.Background(), q) // Background is never cancelled
-	return d
-}
-
-// AvgInterclusterDistance returns the average intercluster distance over
-// all ordered node pairs including self-pairs (the paper's convention).
-// Because all clusters have exactly M nodes, this equals the quotient
-// graph's average distance.
-func (w *Network) AvgInterclusterDistance(g *ipg.Graph) float64 {
-	q, _ := w.Quotient(g)
-	_, avg, _ := graph.Distances(context.Background(), q) // Background is never cancelled
-	return avg
+	return graph.Distances(ctx, q)
 }
 
 // DirectedInterclusterDiameter computes the intercluster diameter of a

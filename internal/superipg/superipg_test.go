@@ -1,6 +1,7 @@
 package superipg
 
 import (
+	"context"
 	"testing"
 
 	"ipg/internal/nucleus"
@@ -53,10 +54,14 @@ func TestHSNQ4MatchesPaperNumbers(t *testing.T) {
 	if d := w.InterclusterDegree(g); d != 30.0/16.0 {
 		t.Errorf("intercluster degree = %v, want 1.875", d)
 	}
-	if d := w.InterclusterDiameter(g); d != 2 {
+	d, a, err := w.InterclusterDistances(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d != 2 {
 		t.Errorf("intercluster diameter = %d, want l-1 = 2", d)
 	}
-	if a := w.AvgInterclusterDistance(g); a != 1.875 {
+	if a != 1.875 {
 		t.Errorf("avg intercluster distance = %v, want 1.875", a)
 	}
 }
@@ -98,7 +103,7 @@ func TestInterclusterTMatchesMeasuredDiameter(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := w.InterclusterDiameter(g); got != tVal {
+			if got, _, _ := w.InterclusterDistances(context.Background(), g); got != tVal {
 				t.Errorf("%s: measured intercluster diameter %d != t %d", w.Name(), got, tVal)
 			}
 		}
@@ -344,7 +349,8 @@ func TestDirectedInterclusterDiameter(t *testing.T) {
 	// Undirected families agree with the symmetric computation.
 	w := HSN(3, nucleus.Hypercube(2))
 	g := w.MustBuild()
-	if d := w.DirectedInterclusterDiameter(g); d != w.InterclusterDiameter(g) {
+	ud, _, _ := w.InterclusterDistances(context.Background(), g)
+	if d := w.DirectedInterclusterDiameter(g); d != ud {
 		t.Errorf("directed and undirected quotient diameters disagree on HSN: %d", d)
 	}
 }
@@ -361,7 +367,7 @@ func TestStarNucleusSuperIPG(t *testing.T) {
 	if g.N() != 36 {
 		t.Fatalf("HSN(2,S3): %d nodes, want 36", g.N())
 	}
-	if d := w.InterclusterDiameter(g); d != 1 {
+	if d, _, _ := w.InterclusterDistances(context.Background(), g); d != 1 {
 		t.Errorf("intercluster diameter %d, want 1", d)
 	}
 	tv, err := w.InterclusterT()
