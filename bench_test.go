@@ -746,3 +746,55 @@ func BenchmarkTotalExchange512(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkNetsimRouterBuild times every table builder on the shared
+// routing core: the all-pairs TableRouter the CN families simulate with,
+// the FaultAwareRouter a faulted /v1/simulate rebuilds per request, the
+// MultipathRouter (generic 2-IST trees plus the alive shortest-path
+// fallback), and the HSNRouter's nucleus table with its label digests.
+func BenchmarkNetsimRouterBuild(b *testing.B) {
+	q3 := nucleus.Hypercube(3)
+	simNet := func(w *superipg.Network) *netsim.Network {
+		net, err := netsim.BuildSuperIPG(w, w.MustBuild(), 8.0, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return net
+	}
+	degraded := func(base *netsim.Network, spec fault.Spec) *netsim.Network {
+		net, _, err := netsim.Degrade(base, spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return net
+	}
+	hsn := simNet(superipg.HSN(3, q3))
+	ringCN := simNet(superipg.RingCN(3, q3))
+	sfn := simNet(superipg.SFN(3, q3))
+	linkFaults := degraded(hsn, fault.Spec{Mode: fault.Links, Count: 8, Seed: 1})
+	nodeFaults := degraded(hsn, fault.Spec{Mode: fault.Nodes, Count: 8, Seed: 1})
+	hsnQ4 := superipg.HSN(3, nucleus.Hypercube(4))
+	gQ4 := hsnQ4.MustBuild()
+	for _, c := range []struct {
+		name  string
+		build func() (netsim.Router, error)
+	}{
+		{"table/ring-CN(3,Q3)", func() (netsim.Router, error) { return netsim.NewTableRouter(ringCN) }},
+		{"table/SFN(3,Q3)", func() (netsim.Router, error) { return netsim.NewTableRouter(sfn) }},
+		{"fault-aware/HSN(3,Q3)/links=8", func() (netsim.Router, error) { return netsim.NewFaultAwareRouter(linkFaults) }},
+		{"fault-aware/HSN(3,Q3)/nodes=8", func() (netsim.Router, error) { return netsim.NewFaultAwareRouter(nodeFaults) }},
+		{"multipath/HSN(3,Q3)/links=8", func() (netsim.Router, error) {
+			return netsim.NewMultipathRouter(linkFaults, netsim.GenericTreeSource(hsn, 2))
+		}},
+		{"hsn/HSN(3,Q4)", func() (netsim.Router, error) { return netsim.NewHSNRouter(hsnQ4, gQ4) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.build(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

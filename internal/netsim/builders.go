@@ -112,8 +112,10 @@ func BuildTorus2D(k, side int, chipCapacity float64) (*Network, error) {
 
 // BuildSuperIPG returns a simulated super-IPG with one nucleus per chip.
 // Ports coincide with generator indices; generator self-loops become
-// absent ports.  If router is nil an HSNRouter is built (swap families
-// only); pass a TableRouter-based router for other families.
+// absent ports.  A non-nil router is used as given; nil picks the
+// family's router: the hierarchical HSNRouter for the swap families (HSN,
+// HCN, RCC) and the all-pairs TableRouter, built on the finished port
+// map, for every other family.
 func BuildSuperIPG(w *superipg.Network, g *ipg.Graph, chipCapacity float64, router Router) (*Network, error) {
 	if err := checkNodeCount(g.N()); err != nil {
 		return nil, err
@@ -167,11 +169,14 @@ func BuildSuperIPG(w *superipg.Network, g *ipg.Graph, chipCapacity float64, rout
 		Router:    router,
 	}
 	if net.Router == nil {
-		r, err := NewHSNRouter(w, g)
+		if swapFamily(w) {
+			net.Router, err = NewHSNRouter(w, g)
+		} else {
+			net.Router, err = NewTableRouter(net)
+		}
 		if err != nil {
 			return nil, err
 		}
-		net.Router = r
 	}
 	return net, nil
 }

@@ -5,12 +5,8 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"ipg/internal/fault"
-	"ipg/internal/topo"
 )
 
 // This file degrades simulated networks with the failure models of
@@ -223,78 +219,36 @@ type FaultAwareRouter struct {
 }
 
 // NewFaultAwareRouter builds the distance table (O(N^2) memory, O(N*E)
-// time, destination-parallel like NewTableRouter).  Unreachable pairs are
-// not an error: that is precisely what a degraded network looks like.
+// time) with the routing core: a distance-only reverse BFS over the alive
+// arcs into each destination's row.  Unreachable pairs are not an error:
+// that is precisely what a degraded network looks like.
 func NewFaultAwareRouter(net *Network) (*FaultAwareRouter, error) {
 	n := net.N
-	if err := checkNodeCount(n); err != nil {
+	if err := checkTableSize(n, "FaultAwareRouter"); err != nil {
 		return nil, err
 	}
-	if n > 1<<14 {
-		return nil, fmt.Errorf("netsim: FaultAwareRouter limited to 16384 nodes, got %d", n)
-	}
 	r := &FaultAwareRouter{net: net, n: n, dist: make([]int16, n*n)}
-	revOff, revSrc, _ := aliveReverseCSR(net)
-	var next int64 = -1
-	workers := max(1, min(runtime.GOMAXPROCS(0), n))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := topo.GetScratch(n)
-			defer topo.PutScratch(s)
-			queue := s.Queue
-			for {
-				dst := int(atomic.AddInt64(&next, 1))
-				if dst >= n {
-					break
-				}
-				// Each destination owns row dst, so workers never touch
-				// the same entries.
-				row := r.dist[dst*n : (dst+1)*n]
-				for i := range row {
-					row[i] = -1
-				}
-				if net.nodeDead(dst) {
-					continue // all -1: nothing can be delivered there
-				}
-				row[dst] = 0
-				queue = append(queue[:0], int32(dst))
-				for qi := 0; qi < len(queue); qi++ {
-					v := queue[qi]
-					dv := row[v]
-					for _, u := range revSrc[revOff[v]:revOff[v+1]] {
-						if row[u] < 0 {
-							row[u] = dv + 1
-							queue = append(queue, u)
-						}
-					}
-				}
+	ra := aliveReverseArcs(net)
+	err := perDestination(n, func() func(int, []int32) error {
+		return func(dst int, queue []int32) error {
+			row := r.dist[dst*n : (dst+1)*n]
+			ra.bfs(dst, row, nil, queue)
+			if net.nodeDead(dst) {
+				row[dst] = -1 // no alive arc enters a dead node: the row is all -1
 			}
-			// Hand any reallocated queue back so the pool keeps the grown
-			// buffer instead of the stale pre-append slice.
-			s.Queue = queue
-		}()
+			return nil
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
 	return r, nil
 }
 
 // NextPort implements Router: the lowest alive port on a shortest alive
 // path, or -1 when dst is unreachable.
 func (r *FaultAwareRouter) NextPort(cur, dst int) int {
-	row := r.dist[dst*r.n : (dst+1)*r.n]
-	d := row[cur]
-	if d <= 0 {
-		return -1
-	}
-	for p, v := range r.net.Ports.PortRow(cur) {
-		if v >= 0 && !r.net.portDead(cur, p) && row[v] == d-1 {
-			return p
-		}
-	}
-	return -1
+	return minimalPort(r.net, r.dist[dst*r.n:(dst+1)*r.n], cur)
 }
 
 // NextPortAdaptive implements AdaptiveRouter: among the alive minimal

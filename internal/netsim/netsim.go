@@ -24,8 +24,8 @@
 // count-then-fill reverse-arc index lists each node's incoming arcs, so
 // New is O(arcs) with a fixed number of allocations.  Each node draws its
 // traffic and fault diverts from its own splitmix64 stream, seeded in O(1)
-// by hashing (seed, node).  The table routers store their all-pairs
-// tables destination-major, one contiguous row per destination.
+// by hashing (seed, node).  Every all-pairs router table is built by one
+// routing-table core (tables.go): a reverse BFS fills each destination's row.
 //
 // Unlike the metric kernels in internal/topo and internal/graph, the
 // simulator is not generic over topo.Source: a simulation's per-node

@@ -133,11 +133,8 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 		}},
 		{"complete-CN-table", func(t *testing.T) Stats {
 			w := superipg.CompleteCN(3, nucleus.Hypercube(2))
-			net, err := BuildSuperIPG(w, w.MustBuild(), 8, HypercubeRouter{D: 1})
+			net, err := BuildSuperIPG(w, w.MustBuild(), 8, nil)
 			if err != nil {
-				t.Fatal(err)
-			}
-			if net.Router, err = NewTableRouter(net); err != nil {
 				t.Fatal(err)
 			}
 			return random(t, net)
@@ -372,16 +369,14 @@ func TestHSNRouterDeliversShortest(t *testing.T) {
 func TestTableRouterOnCompleteCN(t *testing.T) {
 	w := superipg.CompleteCN(3, nucleus.Hypercube(2))
 	g := w.MustBuild()
-	// Build with a placeholder router, then swap in the table router.
-	net, err := BuildSuperIPG(w, g, 1e9, HypercubeRouter{D: 1})
+	// A nil router makes BuildSuperIPG build the family's table router.
+	net, err := BuildSuperIPG(w, g, 1e9, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := NewTableRouter(net)
-	if err != nil {
-		t.Fatal(err)
+	if _, ok := net.Router.(*TableRouter); !ok {
+		t.Fatalf("BuildSuperIPG picked %T for complete-CN, want *TableRouter", net.Router)
 	}
-	net.Router = tr
 	res, err := RunRandomUniform(net, 9, 0.1, 50, 100)
 	if err != nil {
 		t.Fatal(err)

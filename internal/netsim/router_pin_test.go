@@ -1,10 +1,13 @@
 package netsim
 
 import (
+	"fmt"
 	"hash/fnv"
+	"runtime"
 	"testing"
 
 	"ipg/internal/fault"
+	"ipg/internal/ist"
 	"ipg/internal/nucleus"
 	"ipg/internal/superipg"
 )
@@ -29,20 +32,25 @@ func portTableHash(n int, next func(cur, dst int) int) uint64 {
 }
 
 // TestRouterTablePins pins every router table to hashes captured before
-// the tables moved to destination-major layout: the re-layout must not
-// change a single forwarding decision, adaptive tie-breaks included.
+// the table builders shared one routing core: no refactor of the builders
+// may change a single forwarding decision, adaptive tie-breaks and
+// multipath tier counts included.  Every build runs at GOMAXPROCS 1, 2
+// and 7, which also pins the tables as independent of the worker count.
 func TestRouterTablePins(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 7} {
+		runtime.GOMAXPROCS(procs)
+		t.Run(fmt.Sprintf("procs=%d", procs), pinRouterTables)
+	}
+}
+
+func pinRouterTables(t *testing.T) {
 	q2 := nucleus.Hypercube(2)
-	tableNet := func(w *superipg.Network) *Network {
-		net, err := BuildSuperIPG(w, w.MustBuild(), 8, HypercubeRouter{D: 1})
+	superNet := func(w *superipg.Network) *Network {
+		net, err := BuildSuperIPG(w, w.MustBuild(), 8, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := NewTableRouter(net)
-		if err != nil {
-			t.Fatal(err)
-		}
-		net.Router = tr
 		return net
 	}
 	// With three clusters the ring of clusters is complete, so the two CN
@@ -56,9 +64,31 @@ func TestRouterTablePins(t *testing.T) {
 		{"complete-CN(3,Q2)", superipg.CompleteCN(3, q2), 0xd2d0138e49e37fed},
 		{"SFN(3,Q2)", superipg.SFN(3, q2), 0xdd0540dedc12b1b2},
 	} {
-		net := tableNet(c.w)
+		net := superNet(c.w)
+		if _, ok := net.Router.(*TableRouter); !ok {
+			t.Fatalf("%s: BuildSuperIPG picked %T, want *TableRouter", c.name, net.Router)
+		}
 		if got := portTableHash(net.N, net.Router.NextPort); got != c.want {
 			t.Errorf("%s TableRouter hash = %#x, want %#x", c.name, got, c.want)
+		}
+	}
+
+	for _, c := range []struct {
+		name string
+		w    *superipg.Network
+		want uint64
+	}{
+		{"HSN(3,Q2)", superipg.HSN(3, q2), 0x4e46ea93eb5acfc9},
+		{"HSN(3,Q3)", superipg.HSN(3, nucleus.Hypercube(3)), 0xe7fee9af7e49ac3d},
+		{"HSN(2,Q4)", superipg.HSN(2, nucleus.Hypercube(4)), 0x3bb5c71c764e8355},
+		{"HCN(3)", superipg.HCN(3), 0xd130fb3dd4bf4831},
+	} {
+		net := superNet(c.w)
+		if _, ok := net.Router.(*HSNRouter); !ok {
+			t.Fatalf("%s: BuildSuperIPG picked %T, want *HSNRouter", c.name, net.Router)
+		}
+		if got := portTableHash(net.N, net.Router.NextPort); got != c.want {
+			t.Errorf("%s HSNRouter hash = %#x, want %#x", c.name, got, c.want)
 		}
 	}
 
@@ -91,6 +121,39 @@ func TestRouterTablePins(t *testing.T) {
 		}
 		if got := portTableHash(net.N, adaptive); got != c.wantAdpt {
 			t.Errorf("HSN(3,Q2) %s FaultAwareRouter adaptive hash = %#x, want %#x", c.spec.Mode, got, c.wantAdpt)
+		}
+	}
+
+	hc := mustHypercube(t, 6, 2, 8)
+	hcTrees := func(dst int) (*ist.Trees, error) { return ist.BuildHypercube(6, dst, 6) }
+	for _, c := range []struct {
+		name                    string
+		base                    *Network
+		trees                   TreeSource
+		spec                    fault.Spec
+		want                    uint64
+		tree, fallback, unreach int64
+	}{
+		{"HSN(3,Q2) healthy", hsn, GenericTreeSource(hsn, 2), fault.Spec{}, 0xe04640c63a02b5af, 4032, 0, 0},
+		{"HSN(3,Q2) links 10", hsn, GenericTreeSource(hsn, 2), fault.Spec{Mode: fault.Links, Count: 10, Seed: 3}, 0x6dc541a4d69a4387, 3573, 459, 0},
+		{"HSN(3,Q2) nodes 4", hsn, GenericTreeSource(hsn, 2), fault.Spec{Mode: fault.Nodes, Count: 4, Seed: 2}, 0xdb9fe0bc3072b051, 3008, 532, 0},
+		{"HSN(3,Q2) links 40", hsn, GenericTreeSource(hsn, 2), fault.Spec{Mode: fault.Links, Count: 40, Seed: 5}, 0xa3808b0d2a29ee8e, 668, 2332, 1032},
+		{"Q6 links 20", hc, hcTrees, fault.Spec{Mode: fault.Links, Count: 20, Seed: 1}, 0xc1c00f98c878724f, 4015, 17, 0},
+		{"Q6 nodes 6", hc, hcTrees, fault.Spec{Mode: fault.Nodes, Count: 6, Seed: 2}, 0x36a2831ed292bb3d, 3306, 0, 0},
+	} {
+		net, _, err := Degrade(c.base, c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewMultipathRouter(net, c.trees)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := portTableHash(net.N, r.NextPort); got != c.want {
+			t.Errorf("%s MultipathRouter hash = %#x, want %#x", c.name, got, c.want)
+		}
+		if tp, fp, up := r.TreePairs.Load(), r.FallbackPairs.Load(), r.UnreachablePairs.Load(); tp != c.tree || fp != c.fallback || up != c.unreach {
+			t.Errorf("%s MultipathRouter pairs = %d/%d/%d, want %d/%d/%d", c.name, tp, fp, up, c.tree, c.fallback, c.unreach)
 		}
 	}
 }

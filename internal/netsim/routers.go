@@ -4,9 +4,6 @@ package netsim
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"ipg/internal/ipg"
 	"ipg/internal/superipg"
@@ -51,109 +48,89 @@ func (r TorusRouter) NextPort(cur, dst int) int {
 // the first — the optimum that Theorem 4.1's routing achieves.
 type HSNRouter struct {
 	w *superipg.Network
-	// groupAddr[v*l+i] is the nucleus address of group i of node v.
-	groupAddr []uint16
-	l         int
-	// nextGen[a*M+b] is the nucleus generator moving a nucleus node with
-	// address a one hop toward address b.
+	// group[v*l+i] is the nucleus node id holding group i of node v.
+	group []uint16
+	l     int
+	// nextGen[b*nucM+a] is the nucleus generator moving nucleus node a one
+	// hop toward b: destination-major, one BFS row per destination.
 	nextGen []int16
-	m       int
+	m, nucM int
+}
+
+// swapFamily reports whether w routes hierarchically with HSNRouter.
+func swapFamily(w *superipg.Network) bool {
+	return w.Family == "HSN" || w.Family == "HCN" || w.Family == "RCC"
 }
 
 // NewHSNRouter precomputes label digests and the nucleus routing table.
 func NewHSNRouter(w *superipg.Network, g *ipg.Graph) (*HSNRouter, error) {
-	if w.Family != "HSN" && w.Family != "HCN" && w.Family != "RCC" {
+	if !swapFamily(w) {
 		return nil, fmt.Errorf("netsim: HSNRouter supports swap families, not %s", w.Family)
 	}
-	if w.Nuc.M > 1<<16 {
-		return nil, fmt.Errorf("netsim: nucleus too large for HSNRouter")
+	// The nucleus table is an all-pairs table like TableRouter's, so it
+	// takes the same bound (which also fits the uint16 group ids).
+	if err := checkTableSize(w.Nuc.M, "HSNRouter nucleus"); err != nil {
+		return nil, err
 	}
 	if err := checkNodeCount(g.N()); err != nil {
 		return nil, err
 	}
-	r := &HSNRouter{w: w, l: w.L, m: w.SymbolLen()}
-	r.groupAddr = make([]uint16, g.N()*w.L)
-	for v := 0; v < g.N(); v++ {
-		lbl := g.Label(v)
-		for i := 0; i < w.L; i++ {
-			a, err := w.Nuc.AddressOf(lbl.Group(r.m, i))
-			if err != nil {
-				return nil, err
-			}
-			r.groupAddr[v*w.L+i] = uint16(a)
-		}
-	}
-	table, err := nucleusNextGen(w)
-	if err != nil {
-		return nil, err
-	}
-	r.nextGen = table
-	return r, nil
-}
-
-// nucleusNextGen builds the all-pairs next-generator table of the nucleus
-// by reverse BFS from every destination.
-func nucleusNextGen(w *superipg.Network) ([]int16, error) {
 	ng, err := w.Nuc.Build()
 	if err != nil {
 		return nil, err
 	}
+	r := &HSNRouter{w: w, l: w.L, m: w.SymbolLen(), nucM: ng.N()}
+	r.group = make([]uint16, g.N()*w.L)
+	for v := 0; v < g.N(); v++ {
+		lbl := g.Label(v)
+		for i := 0; i < w.L; i++ {
+			id := ng.NodeID(lbl.Group(r.m, i))
+			if id < 0 {
+				return nil, fmt.Errorf("netsim: group %d of node %d is not a node of nucleus %s", i, v, w.Nuc.Name)
+			}
+			r.group[v*w.L+i] = uint16(id)
+		}
+	}
+	if r.nextGen, err = nucleusNextGen(ng); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// nucleusNextGen builds the all-pairs next-generator table of the nucleus
+// graph ng by the core's reverse BFS from every destination.  The reverse
+// arcs into v are v's generator images in generator order, each carrying
+// the lowest generator that leads back to v (the nucleus generator sets
+// here are inverse-closed, so the images of v are exactly the nodes with
+// an arc to v); that order fixes the table's tie-breaks.
+func nucleusNextGen(ng *ipg.Graph) ([]int16, error) {
 	M := ng.N()
 	if err := checkNodeCount(M); err != nil {
 		return nil, err
 	}
-	// Node ids of the nucleus graph ordered by address.
-	idByAddr := make([]int32, M)
-	addrByID := make([]int32, M)
+	ra := &reverseArcs{off: make([]uint32, 1, M+1)}
 	for v := 0; v < M; v++ {
-		a, err := w.Nuc.AddressOf(ng.Label(v))
-		if err != nil {
-			return nil, err
+		for gi := 0; gi < ng.NumGens(); gi++ {
+			u := ng.Neighbor(v, gi)
+			if u == v {
+				continue
+			}
+			for gj := 0; gj < ng.NumGens(); gj++ {
+				if ng.Neighbor(u, gj) == v {
+					ra.src = append(ra.src, int32(u))
+					ra.port = append(ra.port, int16(gj))
+					break
+				}
+			}
 		}
-		idByAddr[a] = int32(v)
-		addrByID[v] = int32(a)
+		ra.off = append(ra.off, uint32(len(ra.src)))
 	}
 	table := make([]int16, M*M)
-	for i := range table {
-		table[i] = -1
-	}
-	dist := make([]int32, M)
+	dist := make([]int16, M)
 	queue := make([]int32, 0, M)
-	for dstAddr := 0; dstAddr < M; dstAddr++ {
-		dst := idByAddr[dstAddr]
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[dst] = 0
-		queue = queue[:0]
-		queue = append(queue, dst)
-		for qi := 0; qi < len(queue); qi++ {
-			v := queue[qi]
-			// Predecessors: nodes u with u --gen--> v set their table entry.
-			for gi := 0; gi < ng.NumGens(); gi++ {
-				// Use inverse walk: for u such that gen(u) = v, iterate all
-				// gens from v on the inverse graph.  The nucleus generator
-				// sets in this package are inverse-closed, so neighbors of
-				// v are exactly the nodes with an edge to v.
-				u := int32(ng.Neighbor(int(v), gi))
-				if u == v || dist[u] >= 0 {
-					continue
-				}
-				// Find a generator carrying u to v.
-				for gj := 0; gj < ng.NumGens(); gj++ {
-					if int32(ng.Neighbor(int(u), gj)) == v {
-						dist[u] = dist[v] + 1
-						table[int(addrByID[u])*M+dstAddr] = int16(gj)
-						queue = append(queue, u)
-						break
-					}
-				}
-			}
-		}
-		for u := 0; u < M; u++ {
-			if dist[u] < 0 {
-				return nil, fmt.Errorf("netsim: nucleus %s disconnected", w.Nuc.Name)
-			}
+	for dst := 0; dst < M; dst++ {
+		if queue = ra.bfs(dst, dist, table[dst*M:(dst+1)*M], queue); len(queue) < M {
+			return nil, fmt.Errorf("netsim: nucleus %s disconnected", ng.Name)
 		}
 	}
 	return table, nil
@@ -162,9 +139,8 @@ func nucleusNextGen(w *superipg.Network) ([]int16, error) {
 // NextPort implements Router.  Ports coincide with generator indices of the
 // super-IPG.
 func (r *HSNRouter) NextPort(cur, dst int) int {
-	ca := r.groupAddr[cur*r.l:]
-	da := r.groupAddr[dst*r.l:]
-	M := r.w.Nuc.M
+	ca := r.group[cur*r.l:]
+	da := r.group[dst*r.l:]
 	for i := r.l - 1; i >= 1; i-- {
 		if ca[i] == da[i] {
 			continue
@@ -173,10 +149,10 @@ func (r *HSNRouter) NextPort(cur, dst int) int {
 			// Front holds the needed content: swap it into place via T_{i+1}.
 			return r.w.NumNucGens() + (i - 1)
 		}
-		return int(r.nextGen[int(ca[0])*M+int(da[i])])
+		return int(r.nextGen[int(da[i])*r.nucM+int(ca[0])])
 	}
 	if ca[0] != da[0] {
-		return int(r.nextGen[int(ca[0])*M+int(da[0])])
+		return int(r.nextGen[int(da[0])*r.nucM+int(ca[0])])
 	}
 	return -1
 }
@@ -190,118 +166,32 @@ type TableRouter struct {
 	table []int16
 }
 
-// NewTableRouter builds the table (O(N^2) memory, O(N*E) time).  The
-// reverse adjacency is aliveReverseCSR's flat arena (every arc, on a
-// healthy network), and the per-destination reverse BFS runs
-// destination-parallel over a worker pool: each destination writes only
-// its own table row, which doubles as the BFS visited set, so workers
-// never touch the same entries.  Discovery order within each BFS — source
-// ascending, then port ascending — is identical to the serial build, so
-// the minimal-port tie-breaks and therefore the table are bit-identical,
-// worker count notwithstanding.
+// NewTableRouter builds the table (O(N^2) memory, O(N*E) time) with the
+// routing core: each destination's reverse BFS writes the first
+// discovering port of every node straight into its own table row.
+// Discovery order — source ascending, then port ascending — does not
+// depend on the worker count, so neither does the table.
 func NewTableRouter(net *Network) (*TableRouter, error) {
 	n := net.N
-	if err := checkNodeCount(n); err != nil {
+	if err := checkTableSize(n, "TableRouter"); err != nil {
 		return nil, err
 	}
-	if n > 1<<14 {
-		return nil, fmt.Errorf("netsim: TableRouter limited to 16384 nodes, got %d", n)
-	}
 	tr := &TableRouter{n: n, table: make([]int16, n*n)}
-	revOff, revSrc, revPort := aliveReverseCSR(net)
-
-	var firstErr error
-	var errMu sync.Mutex
-	var next int64 = -1
-	workers := max(1, min(runtime.GOMAXPROCS(0), n))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := topo.GetScratch(n)
-			defer topo.PutScratch(s)
-			queue := s.Queue
-			for {
-				dst := int(atomic.AddInt64(&next, 1))
-				if dst >= n {
-					break
-				}
-				// A node is visited once it has a port (dst itself never
-				// gets one, so it is skipped explicitly).
-				row := tr.table[dst*n : (dst+1)*n]
-				for i := range row {
-					row[i] = -1
-				}
-				queue = append(queue[:0], int32(dst))
-				for qi := 0; qi < len(queue); qi++ {
-					v := queue[qi]
-					for i := revOff[v]; i < revOff[v+1]; i++ {
-						if u := revSrc[i]; row[u] < 0 && int(u) != dst {
-							row[u] = revPort[i]
-							queue = append(queue, u)
-						}
-					}
-				}
-				if len(queue) < n {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("netsim: network disconnected (%d of %d nodes cannot reach %d)", n-len(queue), n, dst)
-					}
-					errMu.Unlock()
-				}
+	ra := aliveReverseArcs(net)
+	err := perDestination(n, func() func(int, []int32) error {
+		dist := make([]int16, n)
+		return func(dst int, queue []int32) error {
+			if reached := len(ra.bfs(dst, dist, tr.table[dst*n:(dst+1)*n], queue)); reached < n {
+				return fmt.Errorf("netsim: network disconnected (%d of %d nodes cannot reach %d)", n-reached, n, dst)
 			}
-			// Hand any reallocated queue back so the pool keeps the grown
-			// buffer instead of the stale pre-append slice.
-			s.Queue = queue
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+			return nil
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return tr, nil
 }
 
 // NextPort implements Router.
 func (tr *TableRouter) NextPort(cur, dst int) int { return int(tr.table[dst*tr.n+cur]) }
-
-// aliveReverseCSR builds the reverse adjacency over alive arcs as flat
-// count-then-fill arenas: the arcs into v are (revSrc[i], revPort[i]) for
-// i in [revOff[v], revOff[v+1]), in (source asc, port asc) order because
-// both passes iterate sources then ports ascending.  On a healthy network
-// every arc is alive; self-loop ports are skipped.
-func aliveReverseCSR(net *Network) (revOff []uint32, revSrc []int32, revPort []int16) {
-	n := net.N
-	revOff = make([]uint32, n+1)
-	aliveArc := func(u, p int, v int32) bool {
-		return v >= 0 && int(v) != u && !net.nodeDead(u) && !net.portDead(u, p)
-	}
-	for u := 0; u < n; u++ {
-		for p, v := range net.Ports.PortRow(u) {
-			if aliveArc(u, p, v) {
-				revOff[v+1]++
-			}
-		}
-	}
-	for v := 0; v < n; v++ {
-		revOff[v+1] += revOff[v]
-	}
-	revSrc = make([]int32, revOff[n])
-	revPort = make([]int16, revOff[n])
-	cursor := make([]uint32, n)
-	copy(cursor, revOff[:n])
-	for u := 0; u < n; u++ {
-		for p, v := range net.Ports.PortRow(u) {
-			if aliveArc(u, p, v) {
-				i := cursor[v]
-				//lint:ignore indextrunc u < n <= 16384, well under math.MaxInt32
-				revSrc[i] = int32(u)
-				//lint:ignore indextrunc ports per node are bounded by PortMap arity, far below MaxInt16
-				revPort[i] = int16(p)
-				cursor[v] = i + 1
-			}
-		}
-	}
-	return revOff, revSrc, revPort
-}

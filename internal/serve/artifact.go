@@ -379,21 +379,9 @@ func (a *Artifact) SimNetwork(chipCapacity float64) (*netsim.Network, error) {
 		err error
 	)
 	switch a.Params.Net {
-	case "hsn", "hcn", "rcc":
-		// Swap families route with the word-based HSN router.
+	case "hsn", "hcn", "rcc", "ring-cn", "complete-cn", "sfn":
+		// A nil router lets BuildSuperIPG pick the family's router.
 		net, err = netsim.BuildSuperIPG(a.W, a.G, chipCapacity, nil)
-	case "ring-cn", "complete-cn", "sfn":
-		// CN families need the all-pairs table router; build with a
-		// placeholder router first since the table is derived from the
-		// finished port map.
-		net, err = netsim.BuildSuperIPG(a.W, a.G, chipCapacity, netsim.HypercubeRouter{D: 1})
-		if err == nil {
-			var tr *netsim.TableRouter
-			tr, err = netsim.NewTableRouter(net)
-			if err == nil {
-				net.Router = tr
-			}
-		}
 	case "hypercube":
 		net, err = netsim.BuildHypercube(a.Params.Dim, a.Params.LogM, chipCapacity)
 	case "torus":

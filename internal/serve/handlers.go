@@ -258,6 +258,15 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) error {
 	if multipath < 0 || multipath > multipathMaxK {
 		return badRequest("parameter \"multipath\" must be in [0, %d], got %d", multipathMaxK, multipath)
 	}
+	var fq *faultQuery
+	if multipath > 0 {
+		if fq, err = parseFaultQuery(r); err != nil {
+			return err
+		}
+		if fq != nil && fq.Spec.Mode == fault.Adversarial {
+			return badRequest("adversarial faults target graph cuts; use the degraded metrics endpoint, not multipath routes")
+		}
+	}
 	if handled, err := s.maybeForward(w, r, p, ""); handled || err != nil {
 		return err
 	}
@@ -270,6 +279,9 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) error {
 	}
 	if src < 0 || src >= a.N || dst < 0 || dst >= a.N {
 		return badRequest("src/dst must be in [0, %d)", a.N)
+	}
+	if multipath > 0 && !a.Materialized() {
+		return badRequest("%s is not materialized; multipath routes need the built network", a.Name)
 	}
 	if !a.Materialized() {
 		if a.N > implicitSweepMax {
@@ -305,7 +317,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) error {
 		}
 	}
 	if multipath > 0 {
-		mp, err := s.multipathRoute(r, a, src, dst, multipath)
+		mp, err := s.multipathRoute(r, a, src, dst, multipath, fq)
 		if err != nil {
 			return err
 		}
@@ -315,21 +327,12 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) error {
 	return writeJSON(w, &resp)
 }
 
-// multipathRoute builds the ?multipath=k response block: the k
-// independent-tree routes src -> dst (k clamped to what the topology
-// supports), with optional fault annotation.  Tree construction is
-// CPU-bound like a build, so it holds a worker slot.
-func (s *Server) multipathRoute(r *http.Request, a *Artifact, src, dst, requested int) (*MultipathRoute, error) {
-	if !a.Materialized() {
-		return nil, badRequest("%s is not materialized; multipath routes need the built network", a.Name)
-	}
-	fq, err := parseFaultQuery(r)
-	if err != nil {
-		return nil, err
-	}
-	if fq != nil && fq.Spec.Mode == fault.Adversarial {
-		return nil, badRequest("adversarial faults target graph cuts; use the degraded metrics endpoint, not multipath routes")
-	}
+// multipathRoute builds the ?multipath=k response block on a materialized
+// artifact: the k independent-tree routes src -> dst (k clamped to what
+// the topology supports), annotated with the fault set fq when non-nil.
+// handleRoute validates fq and the representation before any slot or BFS.
+// Tree construction is CPU-bound like a build, so it holds a worker slot.
+func (s *Server) multipathRoute(r *http.Request, a *Artifact, src, dst, requested int, fq *faultQuery) (*MultipathRoute, error) {
 	release, err := s.acquireSlot(r.Context())
 	if err != nil {
 		return nil, err
@@ -534,6 +537,13 @@ const SimMaxRounds = 4096
 // and the best family it measures, HSN(3,Q4), saturates near 4.25.
 const SimMaxRate = 8.0
 
+// SimMaxPackets caps the packets one /v1/simulate run injects —
+// rate·N·(warmup+measure) for random, N·(N−1) for te — because a packet
+// the network cannot absorb stays queued: at about 22 bytes per queued
+// packet the cap bounds a run's queues near 90 MiB.  The defaults (rate
+// 0.2, 450 rounds) stay under it up to 8192 nodes, te up to 2048.
+const SimMaxPackets = 1 << 22
+
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 	p, err := requestParams(r)
 	if err != nil {
@@ -605,6 +615,16 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 	logN := bits.TrailingZeros(uint(a.N))
 	if workload == "transpose" && (1<<logN != a.N || logN%2 != 0) {
 		return badRequest("transpose needs a power-of-two node count with an even number of address bits; %s has %d nodes", a.Name, a.N)
+	}
+	packets := float64(a.N) // transpose: one packet per node
+	switch workload {
+	case "random":
+		packets = rate * float64(a.N) * float64(warmup+measure)
+	case "te":
+		packets = float64(a.N) * float64(a.N-1)
+	}
+	if packets > SimMaxPackets {
+		return badRequest("%s workload on %s injects %.0f packets, above the simulation cap of %d packets", workload, a.Name, packets, SimMaxPackets)
 	}
 
 	// Simulation runs are CPU-bound like builds, so they hold a worker

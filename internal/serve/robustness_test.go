@@ -432,9 +432,10 @@ func TestSimulateFaults(t *testing.T) {
 // 400 naming the cap, decided before the request takes a worker slot: with
 // the only slot held and no queue, an over-cap query still gets its 400
 // rather than a 503.  Every other input check of /v1/simulate — rate and
-// chipcap, workload, fault spec, transpose shape — and /v1/route's src/dst
-// range on an implicit artifact are held to the same ordering.  The
-// defaults and the caps themselves stay accepted.
+// chipcap, workload, fault spec, transpose shape, the SimMaxPackets
+// budget — and /v1/route's src/dst range and multipath checks on an
+// implicit artifact are held to the same ordering.  The defaults and the
+// caps themselves stay accepted.
 func TestSimulateRoundCap(t *testing.T) {
 	srv := NewServer(Config{Workers: 1, QueueDepth: -1, ImplicitThreshold: 32})
 	ts := httptest.NewServer(srv)
@@ -467,6 +468,9 @@ func TestSimulateRoundCap(t *testing.T) {
 		{base + "&faults=2&fmode=adversarial", "adversarial"},
 		{"/v1/simulate?net=hypercube&dim=5&logm=1&workload=transpose", "transpose"},
 		{"/v1/route?net=hypercube&dim=6&src=0&dst=64", "src/dst"},
+		{"/v1/route?net=hypercube&dim=6&src=0&dst=1&multipath=2", "not materialized"},
+		{"/v1/route?net=hypercube&dim=6&src=0&dst=1&multipath=2&fmode=bogus", "bogus"},
+		{"/v1/route?net=hypercube&dim=6&src=0&dst=1&multipath=2&faults=2&fmode=adversarial", "adversarial"},
 	} {
 		var body map[string]string
 		if resp := get(t, ts, tc.q, &body); resp.StatusCode != http.StatusBadRequest {
@@ -478,7 +482,40 @@ func TestSimulateRoundCap(t *testing.T) {
 	}
 	release()
 
+	// The packet budget needs a materialized network above 128 nodes,
+	// which the implicit threshold above rules out, so a second server
+	// holds Q12.  At the cap a query passes every check made before the
+	// slot and meets the held slot's 503; one round more is a 400.
+	big := NewServer(Config{Workers: 1, QueueDepth: -1})
+	bts := httptest.NewServer(big)
+	defer bts.Close()
+	const q12 = "/v1/simulate?net=hypercube&dim=12&logm=2"
+	if resp := get(t, bts, "/v1/build?net=hypercube&dim=12&logm=2", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("build Q12: status %d", resp.StatusCode)
+	}
+	if release, err = big.acquireSlot(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		q      string
+		status int
+	}{
+		{q12 + "&rate=1&warmup=0&measure=1024", http.StatusServiceUnavailable},
+		{q12 + "&rate=1&warmup=1&measure=1024", http.StatusBadRequest},
+		{q12 + "&workload=te", http.StatusBadRequest},
+	} {
+		var body map[string]string
+		if resp := get(t, bts, tc.q, &body); resp.StatusCode != tc.status {
+			t.Fatalf("%s with the pool full: status %d, want %d", tc.q, resp.StatusCode, tc.status)
+		}
+		if want := fmt.Sprint(SimMaxPackets); tc.status == http.StatusBadRequest && !strings.Contains(body["error"], want) {
+			t.Errorf("%s: error %q does not mention %s", tc.q, body["error"], want)
+		}
+	}
+	release()
+
 	for _, q := range []string{
+		"/v1/simulate?net=hypercube&dim=4&logm=1",
 		base,
 		base + fmt.Sprintf("&warmup=%d&measure=%d", SimMaxRounds/2, SimMaxRounds/2),
 		fmt.Sprintf("/v1/simulate?net=hypercube&dim=4&logm=1&rate=%g&warmup=5&measure=5", SimMaxRate),
