@@ -752,6 +752,9 @@ func BenchmarkTotalExchange512(b *testing.B) {
 // the FaultAwareRouter a faulted /v1/simulate rebuilds per request, the
 // MultipathRouter (generic 2-IST trees plus the alive shortest-path
 // fallback), and the HSNRouter's nucleus table with its label digests.
+// The nodes=4 fault-aware cases are the 512- and 576-node networks a
+// faulted simulate builds its table on in the perfbench sim-compute
+// workload, which fails 2 or 4 nodes.
 func BenchmarkNetsimRouterBuild(b *testing.B) {
 	q3 := nucleus.Hypercube(3)
 	simNet := func(w *superipg.Network) *netsim.Network {
@@ -773,6 +776,17 @@ func BenchmarkNetsimRouterBuild(b *testing.B) {
 	sfn := simNet(superipg.SFN(3, q3))
 	linkFaults := degraded(hsn, fault.Spec{Mode: fault.Links, Count: 8, Seed: 1})
 	nodeFaults := degraded(hsn, fault.Spec{Mode: fault.Nodes, Count: 8, Seed: 1})
+	built := func(net *netsim.Network, err error) *netsim.Network {
+		if err != nil {
+			b.Fatal(err)
+		}
+		return net
+	}
+	fourDead := fault.Spec{Mode: fault.Nodes, Count: 4, Seed: 1}
+	sfnFaults := degraded(sfn, fourDead)
+	ringCNFaults := degraded(ringCN, fourDead)
+	q9Faults := degraded(built(netsim.BuildHypercube(9, 3, 8.0)), fourDead)
+	torusFaults := degraded(built(netsim.BuildTorus2D(24, 4, 8.0)), fourDead)
 	hsnQ4 := superipg.HSN(3, nucleus.Hypercube(4))
 	gQ4 := hsnQ4.MustBuild()
 	for _, c := range []struct {
@@ -783,6 +797,10 @@ func BenchmarkNetsimRouterBuild(b *testing.B) {
 		{"table/SFN(3,Q3)", func() (netsim.Router, error) { return netsim.NewTableRouter(sfn) }},
 		{"fault-aware/HSN(3,Q3)/links=8", func() (netsim.Router, error) { return netsim.NewFaultAwareRouter(linkFaults) }},
 		{"fault-aware/HSN(3,Q3)/nodes=8", func() (netsim.Router, error) { return netsim.NewFaultAwareRouter(nodeFaults) }},
+		{"fault-aware/SFN(3,Q3)/nodes=4", func() (netsim.Router, error) { return netsim.NewFaultAwareRouter(sfnFaults) }},
+		{"fault-aware/ring-CN(3,Q3)/nodes=4", func() (netsim.Router, error) { return netsim.NewFaultAwareRouter(ringCNFaults) }},
+		{"fault-aware/Q9/nodes=4", func() (netsim.Router, error) { return netsim.NewFaultAwareRouter(q9Faults) }},
+		{"fault-aware/24-ary-2-cube/nodes=4", func() (netsim.Router, error) { return netsim.NewFaultAwareRouter(torusFaults) }},
 		{"multipath/HSN(3,Q3)/links=8", func() (netsim.Router, error) {
 			return netsim.NewMultipathRouter(linkFaults, netsim.GenericTreeSource(hsn, 2))
 		}},

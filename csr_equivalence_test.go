@@ -140,7 +140,7 @@ func TestMSBFSMatchesScalarGoldens(t *testing.T) {
 			queue := make([]int32, 0, n)
 			ecc := make([]int32, 64)
 			sum := make([]int64, 64)
-			dist := make([]int32, 64*n)
+			dist := make([]int16, 64*n)
 			srcs := make([]int32, 0, 64)
 			for lo := 0; lo < n; lo += 64 {
 				hi := lo + 64
@@ -159,7 +159,7 @@ func TestMSBFSMatchesScalarGoldens(t *testing.T) {
 							src, ecc[i], sum[i], wantEcc, wantSum)
 					}
 					for v := 0; v < n; v++ {
-						if dist[i*n+v] != scalarDist[v] {
+						if int32(dist[i*n+v]) != scalarDist[v] {
 							t.Fatalf("src %d: dist[%d] = %d, scalar %d", src, v, dist[i*n+v], scalarDist[v])
 						}
 					}

@@ -99,6 +99,10 @@ type Cluster struct {
 
 	mu      sync.Mutex
 	flights map[string]*fillFlight // singleflight per request URI
+
+	// legs counts running fetch legs, including a losing leg that
+	// finishes its breaker report after its fill has returned.
+	legs sync.WaitGroup
 }
 
 // ParsePeers splits and validates a comma-separated peer list: every

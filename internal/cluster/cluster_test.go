@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"ipg/internal/breaker"
 )
 
 // TestParsePeers checks the shared -peers validator.
@@ -167,7 +169,11 @@ func TestFillRetryAfterPreserved(t *testing.T) {
 }
 
 // TestHedgeWinsAgainstSlowOwner checks the hedged read: when the owner
-// stalls past HedgeDelay, the fallback leg answers and wins.
+// stalls past HedgeDelay, the fallback leg answers and wins.  The losing
+// owner leg is then cancelled, which must not count against the owner: at
+// a breaker threshold of 1 a single Fail would cut a slow but alive owner
+// out of the ring and rehash its keys onto a replica that builds them
+// again.
 func TestHedgeWinsAgainstSlowOwner(t *testing.T) {
 	release := make(chan struct{})
 	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -177,7 +183,7 @@ func TestHedgeWinsAgainstSlowOwner(t *testing.T) {
 	fast := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, "fast-fallback")
 	})
-	c, ownerURL, _ := newTestCluster(t, Config{HedgeDelay: 5 * time.Millisecond}, slow, fast)
+	c, ownerURL, _ := newTestCluster(t, Config{HedgeDelay: 5 * time.Millisecond, BreakerThreshold: 1}, slow, fast)
 	defer close(release)
 	key := keyOwnedBy(t, c, ownerURL)
 
@@ -190,6 +196,13 @@ func TestHedgeWinsAgainstSlowOwner(t *testing.T) {
 	}
 	if c.hedges.Load() != 1 || c.hedgeWins.Load() != 1 {
 		t.Errorf("hedges=%d hedgeWins=%d, want 1/1", c.hedges.Load(), c.hedgeWins.Load())
+	}
+	c.legs.Wait() // the cancelled owner leg has made its breaker report
+	if st := c.breakers.State(ownerURL, time.Now()); st != breaker.Closed {
+		t.Errorf("owner breaker %s after losing the hedge race, want closed", st)
+	}
+	if c.Owner(key) != ownerURL {
+		t.Errorf("key rehashed to %s, want it to stay with the owner %s", c.Owner(key), ownerURL)
 	}
 }
 

@@ -106,6 +106,7 @@ type legOut struct {
 // a declined or failed pair surfaces the first error.
 func (c *Cluster) fetchHedged(ctx context.Context, owner, fallback, uri string) (*FillResult, error) {
 	resc := make(chan legOut, 2) // buffered: an abandoned leg must not block
+	c.legs.Add(1)
 	go c.fetchLeg(ctx, owner, uri, false, resc)
 	outstanding := 1
 	hedgeLaunched := fallback == ""
@@ -120,6 +121,7 @@ func (c *Cluster) fetchHedged(ctx context.Context, owner, fallback, uri string) 
 		timerC = nil
 		outstanding++
 		c.hedges.Add(1)
+		c.legs.Add(1)
 		//lint:ignore goroutineleak joined by the enclosing select loop, which receives from resc until outstanding drains; resc is buffered (cap 2) so a leg whose result is abandoned on early return can never block
 		go c.fetchLeg(ctx, fallback, uri, true, resc)
 	}
@@ -159,10 +161,27 @@ func (c *Cluster) fetchHedged(ctx context.Context, owner, fallback, uri string) 
 // fetchLeg runs one GET against one peer and reports the outcome to its
 // breaker: transport errors and timeouts are genuine failures (a dead or
 // frozen replica), while any HTTP response — including 5xx — proves the
-// peer alive and closes its circuit.
+// peer alive and closes its circuit.  A leg cancelled because the other
+// leg won says nothing about its peer.
 func (c *Cluster) fetchLeg(ctx context.Context, peer, uri string, hedged bool, out chan<- legOut) {
+	defer c.legs.Done()
 	res, err := c.doFetch(ctx, peer, uri, hedged)
 	out <- legOut{res: res, err: err, hedged: hedged}
+}
+
+// reportFetchError reports a failed request or body read to peer's
+// breaker.  Fill detaches the fetch context from its callers, so
+// context.Canceled comes only from the fill's own cancel once the other
+// leg has won: the peer may be slow but alive, and the verdict is
+// Neutral.  A FetchTimeout expiry is a DeadlineExceeded and stays a Fail,
+// so a frozen peer still opens its circuit.
+func (c *Cluster) reportFetchError(peer string, pc *peerCounters, err error) {
+	if errors.Is(err, context.Canceled) {
+		c.breakers.Report(peer, breaker.Neutral, time.Now())
+		return
+	}
+	pc.errors.Add(1)
+	c.breakers.Report(peer, breaker.Fail, time.Now())
 }
 
 func (c *Cluster) doFetch(ctx context.Context, peer, uri string, hedged bool) (*FillResult, error) {
@@ -179,15 +198,13 @@ func (c *Cluster) doFetch(ctx context.Context, peer, uri string, hedged bool) (*
 	req.Header.Set(FillHeader, "1")
 	resp, err := c.client.Do(req)
 	if err != nil {
-		pc.errors.Add(1)
-		c.breakers.Report(peer, breaker.Fail, time.Now())
+		c.reportFetchError(peer, pc, err)
 		return nil, err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, c.cfg.MaxFillBytes+1))
 	if err != nil {
-		pc.errors.Add(1)
-		c.breakers.Report(peer, breaker.Fail, time.Now())
+		c.reportFetchError(peer, pc, err)
 		return nil, err
 	}
 	if int64(len(body)) > c.cfg.MaxFillBytes {

@@ -26,13 +26,16 @@ func TestAllExperimentsPass(t *testing.T) {
 }
 
 // TestPaperScaleCheapExperiments exercises the Paper-scale code paths of
-// the experiments whose large configurations are still fast (the slow
-// simulator-heavy ones are covered by cmd/paperbench -scale paper).
+// every experiment but E15 throughput, whose rate sweep takes about a
+// minute at paper scale and is covered by cmd/paperbench -scale paper.
 func TestPaperScaleCheapExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale runs skipped in -short mode")
 	}
-	for _, id := range []string{"fig1a", "fig1b", "dim11", "symmetric", "ascend-ghc", "mnb-te", "ic-diameter", "optimality", "embeddings", "multilevel", "wormhole"} {
+	for _, id := range []string{
+		"fig1a", "fig1b", "dim11", "symmetric", "ascend-ghc", "mnb-te", "ic-diameter", "optimality", "embeddings", "multilevel", "wormhole",
+		"offchip", "ii-cost", "ascend", "transpose", "design-sweep", "sdc", "bisection-base", "bisection-hsn", "worked-example", "te-intercluster",
+	} {
 		res, err := Run(id, Paper)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 
 	"ipg/internal/fault"
+	"ipg/internal/topo"
 )
 
 // This file degrades simulated networks with the failure models of
@@ -202,8 +203,8 @@ func (s *Sim) resolveFaulty(v int, dst int32) int {
 }
 
 // FaultAwareRouter routes minimally over the alive links of a degraded
-// network: a per-destination distance table built by reverse BFS that
-// skips dead ports and dead nodes.  It implements AdaptiveRouter — among
+// network: a per-destination distance table built by BFS that skips
+// dead ports and dead nodes.  It implements AdaptiveRouter — among
 // the alive minimal ports it picks the shortest local queue (ties to the
 // lowest port, keeping runs deterministic) — and returns -1 only when the
 // destination is unreachable, so it never misroutes and a simulation under
@@ -213,29 +214,29 @@ type FaultAwareRouter struct {
 	net *Network
 	n   int
 	// dist[dst*n+u] is u's distance to dst over alive links, -1 =
-	// unreachable: destination-major, so each BFS fills one contiguous
-	// row and a routing decision reads one row.
+	// unreachable: destination-major, so each MSBFS pass fills 64
+	// contiguous rows and a routing decision reads one row.
 	dist []int16
 }
 
 // NewFaultAwareRouter builds the distance table (O(N^2) memory, O(N*E)
-// time) with the routing core: a distance-only reverse BFS over the alive
-// arcs into each destination's row.  Unreachable pairs are not an error:
-// that is precisely what a degraded network looks like.
+// time) with the routing core: MSBFS passes over the alive arcs, each
+// writing 64 destinations' rows straight into the table.  Unreachable
+// pairs are not an error: that is precisely what a degraded network looks
+// like.  An alive arc without an alive reverse is.
 func NewFaultAwareRouter(net *Network) (*FaultAwareRouter, error) {
 	n := net.N
 	if err := checkTableSize(n, "FaultAwareRouter"); err != nil {
 		return nil, err
 	}
+	c, err := aliveCSR(net)
+	if err != nil {
+		return nil, err
+	}
 	r := &FaultAwareRouter{net: net, n: n, dist: make([]int16, n*n)}
-	ra := aliveReverseArcs(net)
-	err := perDestination(n, func() func(int, []int32) error {
-		return func(dst int, queue []int32) error {
-			row := r.dist[dst*n : (dst+1)*n]
-			ra.bfs(dst, row, nil, queue)
-			if net.nodeDead(dst) {
-				row[dst] = -1 // no alive arc enters a dead node: the row is all -1
-			}
+	err = perBatch(n, destBatch, func() func(int, int, *topo.Scratch) error {
+		return func(lo, hi int, s *topo.Scratch) error {
+			distanceRows(net, c, lo, hi, r.dist[lo*n:hi*n], s.MS(n))
 			return nil
 		}
 	})

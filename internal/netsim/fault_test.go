@@ -2,11 +2,16 @@ package netsim
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"ipg/internal/fault"
+	"ipg/internal/ist"
 	"ipg/internal/nucleus"
 	"ipg/internal/superipg"
+	"ipg/internal/topo"
 )
 
 // faultTestNetworks builds the three families the fault-routing claims are
@@ -278,5 +283,177 @@ func TestHealthyPathUntouched(t *testing.T) {
 	}
 	if resBase.Stats != resDeg.Stats || resBase.Rounds != resDeg.Rounds {
 		t.Fatalf("zero-fault run diverged: %+v vs %+v", resBase, resDeg)
+	}
+}
+
+// scalarAliveDistances is the reference for the routing core's MSBFS
+// distance rows: one scalar reverse BFS per destination over the alive
+// arcs.  ref[dst*n+u] is u's alive hop distance to dst, -1 when u cannot
+// reach it; a dead destination's row is all -1.
+func scalarAliveDistances(net *Network) []int16 {
+	n := net.N
+	into := make([][]int, n) // into[v] lists the sources of v's alive in-arcs
+	for u := 0; u < n; u++ {
+		if net.nodeDead(u) {
+			continue
+		}
+		for p, v := range net.Ports.PortRow(u) {
+			if v >= 0 && int(v) != u && !net.portDead(u, p) {
+				into[v] = append(into[v], u)
+			}
+		}
+	}
+	ref := make([]int16, n*n)
+	for i := range ref {
+		ref[i] = -1
+	}
+	for dst := 0; dst < n; dst++ {
+		if net.nodeDead(dst) {
+			continue
+		}
+		row := ref[dst*n : (dst+1)*n]
+		row[dst] = 0
+		for queue := []int{dst}; len(queue) > 0; queue = queue[1:] {
+			v := queue[0]
+			for _, u := range into[v] {
+				if row[u] < 0 {
+					row[u] = row[v] + 1
+					queue = append(queue, u)
+				}
+			}
+		}
+	}
+	return ref
+}
+
+// TestFaultAwareRowsMatchScalar checks the distance rows FaultAwareRouter
+// and MultipathRouter's fallback tier take from MSBFS against the scalar
+// reference, under node, link and chip faults and at GOMAXPROCS 1, 2 and
+// 7.  The multipath trees are empty, so every alive pair takes the
+// fallback tier.  A one-way alive arc must be rejected by name.
+func TestFaultAwareRowsMatchScalar(t *testing.T) {
+	q2, q3 := nucleus.Hypercube(2), nucleus.Hypercube(3)
+	super := func(w *superipg.Network) *Network {
+		net, err := BuildSuperIPG(w, w.MustBuild(), 8, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net
+	}
+	q9, err := BuildHypercube(9, 3, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torus, err := BuildTorus2D(24, 4, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hsnQ2 := super(superipg.HSN(3, q2))
+	// The five networks perfbench's sim-compute workload simulates, then
+	// three more families with chips.
+	nets := []*Network{
+		super(superipg.HSN(3, q3)), super(superipg.SFN(3, q3)), super(superipg.RingCN(3, q3)), q9, torus,
+		hsnQ2, super(superipg.CompleteCN(3, q3)), super(superipg.RCC(2, q2)),
+	}
+	var cases []distanceCase
+	add := func(base *Network, spec fault.Spec) {
+		net, _, err := Degrade(base, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, newDistanceCase(fmt.Sprintf("%s/%s=%d", base.Name, spec.Mode, spec.Count), net))
+	}
+	for _, base := range nets {
+		add(base, fault.Spec{Mode: fault.Nodes, Count: 4, Seed: 1})
+		add(base, fault.Spec{Mode: fault.Links, Count: 8, Seed: 2})
+		add(base, fault.Spec{Mode: fault.Chips, Count: 1, Seed: 3})
+	}
+	add(hsnQ2, fault.Spec{Mode: fault.Links, Count: 40, Seed: 5})
+	if last := cases[len(cases)-1]; last.unreachable == 0 {
+		t.Fatalf("%s: still connected; the case must cover unreachable pairs", last.name)
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 7} {
+		runtime.GOMAXPROCS(procs)
+		for _, c := range cases {
+			c.check(t, fmt.Sprintf("procs=%d %s", procs, c.name))
+		}
+	}
+
+	// Node 1's port 1 leads to node 2, but no port of node 2 leads back.
+	oneWay := &Network{
+		Name:   "one-way",
+		N:      3,
+		Ports:  topo.PortMapFromRows([][]int32{{1, 2}, {0, 2}, {0}}, [][]float64{{1, 1}, {1, 1}, {1}}),
+		Router: routeFunc(func(cur, dst int) int { return -1 }),
+	}
+	for name, build := range map[string]func() error{
+		"FaultAwareRouter": func() error { _, err := NewFaultAwareRouter(oneWay); return err },
+		"MultipathRouter":  func() error { _, err := NewMultipathRouter(oneWay, noTrees(3)); return err },
+	} {
+		if err := build(); err == nil || !strings.Contains(err.Error(), "1->2") {
+			t.Errorf("%s on a one-way arc: err = %v, want one naming arc 1->2", name, err)
+		}
+	}
+}
+
+// noTrees is a multipath tree source with no trees, which sends every
+// alive pair of an n-node network to the fallback tier.
+func noTrees(n int) TreeSource {
+	return func(dst int) (*ist.Trees, error) { return &ist.Trees{Root: dst, N: n}, nil }
+}
+
+// distanceCase holds a degraded network with the tables the scalar
+// reference predicts for it.
+type distanceCase struct {
+	name string
+	net  *Network
+	// dist is the scalar reference; port[dst*n+u] is the fallback port it
+	// implies (-1 at dead endpoints, at dst and where dst is unreachable).
+	dist, port            []int16
+	fallback, unreachable int64
+}
+
+func newDistanceCase(name string, net *Network) distanceCase {
+	n := net.N
+	c := distanceCase{name: name, net: net, dist: scalarAliveDistances(net), port: make([]int16, n*n)}
+	for dst := 0; dst < n; dst++ {
+		row := c.dist[dst*n : (dst+1)*n]
+		for u := 0; u < n; u++ {
+			c.port[dst*n+u] = -1
+			switch {
+			case u == dst || net.nodeDead(u) || net.nodeDead(dst):
+			case row[u] < 0:
+				c.unreachable++
+			default:
+				c.port[dst*n+u] = int16(minimalPort(net, row, u))
+				c.fallback++
+			}
+		}
+	}
+	return c
+}
+
+// check builds both distance-row consumers and compares them with the
+// reference.
+func (c distanceCase) check(t *testing.T, name string) {
+	t.Helper()
+	far, err := NewFaultAwareRouter(c.net)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if !slices.Equal(far.dist, c.dist) {
+		t.Errorf("%s: FaultAwareRouter rows differ from the scalar reverse BFS", name)
+	}
+	mp, err := NewMultipathRouter(c.net, noTrees(c.net.N))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if !slices.Equal(mp.port, c.port) {
+		t.Errorf("%s: multipath fallback rows differ from the scalar reverse BFS", name)
+	}
+	if tp, fp, up := mp.TreePairs.Load(), mp.FallbackPairs.Load(), mp.UnreachablePairs.Load(); tp != 0 || fp != c.fallback || up != c.unreachable {
+		t.Errorf("%s: multipath pairs = %d/%d/%d, want 0/%d/%d", name, tp, fp, up, c.fallback, c.unreachable)
 	}
 }

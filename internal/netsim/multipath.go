@@ -79,9 +79,11 @@ type MultipathRouter struct {
 }
 
 // NewMultipathRouter builds the forwarding table with the routing core's
-// destination-parallel worker pool (O(N^2) memory like the other table
-// routers).  treeFor is consulted once per alive destination; its trees
-// must be rooted on the healthy topology at that destination.
+// worker pool (O(N^2) memory like the other table routers), one batch of
+// 64 destinations at a time: one MSBFS pass yields the batch's alive
+// distance rows for the fallback tier.  treeFor is consulted once per
+// alive destination; its trees must be rooted on the healthy topology at
+// that destination.
 func NewMultipathRouter(net *Network, treeFor TreeSource) (*MultipathRouter, error) {
 	n := net.N
 	if err := checkTableSize(n, "MultipathRouter"); err != nil {
@@ -90,13 +92,16 @@ func NewMultipathRouter(net *Network, treeFor TreeSource) (*MultipathRouter, err
 	if err := net.Validate(); err != nil {
 		return nil, err
 	}
+	c, err := aliveCSR(net)
+	if err != nil {
+		return nil, err
+	}
 	r := &MultipathRouter{net: net, n: n, port: make([]int16, n*n)}
-	ra := aliveReverseArcs(net)
-	err := perDestination(n, func() func(int, []int32) error {
-		dist := make([]int16, n) // alive distance to dst, fallback tier
-		var state []int8         // per (tree, vertex): 0 unknown, 1 alive, 2 dead
-		var walk []int32         // upward-walk stack for memoization
-		return func(dst int, queue []int32) error {
+	err = perBatch(n, destBatch, func() func(int, int, *topo.Scratch) error {
+		dists := make([]int16, destBatch*n) // the batch's alive distance rows, fallback tier
+		var state []int8                    // per (tree, vertex): 0 unknown, 1 alive, 2 dead
+		var walk []int32                    // upward-walk stack for memoization
+		visit := func(dst int, dist []int16) error {
 			row := r.port[dst*n : (dst+1)*n]
 			for i := range row {
 				row[i] = -1
@@ -117,7 +122,6 @@ func NewMultipathRouter(net *Network, treeFor TreeSource) (*MultipathRouter, err
 			}
 			state = state[:k*n]
 			clear(state)
-			ra.bfs(dst, dist, nil, queue)
 			var tp, fp, up int64
 		pairs:
 			for u := 0; u < n; u++ {
@@ -142,6 +146,15 @@ func NewMultipathRouter(net *Network, treeFor TreeSource) (*MultipathRouter, err
 			r.TreePairs.Add(tp)
 			r.FallbackPairs.Add(fp)
 			r.UnreachablePairs.Add(up)
+			return nil
+		}
+		return func(lo, hi int, s *topo.Scratch) error {
+			distanceRows(net, c, lo, hi, dists, s.MS(n))
+			for dst := lo; dst < hi; dst++ {
+				if err := visit(dst, dists[(dst-lo)*n:(dst-lo+1)*n]); err != nil {
+					return err
+				}
+			}
 			return nil
 		}
 	})

@@ -178,10 +178,10 @@ func NewTableRouter(net *Network) (*TableRouter, error) {
 	}
 	tr := &TableRouter{n: n, table: make([]int16, n*n)}
 	ra := aliveReverseArcs(net)
-	err := perDestination(n, func() func(int, []int32) error {
+	err := perBatch(n, 1, func() func(int, int, *topo.Scratch) error {
 		dist := make([]int16, n)
-		return func(dst int, queue []int32) error {
-			if reached := len(ra.bfs(dst, dist, tr.table[dst*n:(dst+1)*n], queue)); reached < n {
+		return func(dst, _ int, s *topo.Scratch) error {
+			if reached := len(ra.bfs(dst, dist, tr.table[dst*n:(dst+1)*n], s.Queue)); reached < n {
 				return fmt.Errorf("netsim: network disconnected (%d of %d nodes cannot reach %d)", n-reached, n, dst)
 			}
 			return nil

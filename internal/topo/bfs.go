@@ -2,7 +2,10 @@ package topo
 
 //lint:file-ignore ctxflow BFS kernels are deliberately ctx-free: one call is a single bounded traversal (or one 64-source batch), and callers (graph.Distances, fault.Analyze, serve) poll ctx between calls, keeping cancellation latency to one kernel invocation
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // This file holds the repository's two traversal kernels: a scalar BFS
 // and a bit-parallel 64-source BFS (MSBFS).  Every distance computation —
@@ -176,11 +179,16 @@ func (s *MSBFSScratch) ensure(n int) {
 // when some vertex is unreachable (sum[i] then covers the reached
 // vertices only).  If dist is non-nil it must have length
 // len(sources)*s.N() and receives the full distance vector of source i in
-// dist[i*n:(i+1)*n], -1 marking unreachable vertices — the same flat
-// strided layout the routers use.  nbuf is neighbor scratch for non-arena
-// sources, returned possibly grown.  The call is allocation-free once the
-// scratch has grown to s.N() vertices.
-func MSBFSSourceInto(s Source, sources []int32, sc *MSBFSScratch, ecc []int32, sum []int64, dist []int32, nbuf []int32) []int32 {
+// dist[i*n:(i+1)*n], -1 marking unreachable vertices.  That is the
+// destination-major int16 row layout of netsim's routing tables, which
+// fill 64 rows per call straight into their table; int16 distances need
+// s.N() <= 32768.  nbuf is neighbor scratch for non-arena sources,
+// returned possibly grown.  The call is allocation-free once the scratch
+// has grown to s.N() vertices.
+func MSBFSSourceInto(s Source, sources []int32, sc *MSBFSScratch, ecc []int32, sum []int64, dist []int16, nbuf []int32) []int32 {
+	if dist != nil && s.N() > math.MaxInt16+1 {
+		panic("topo: MSBFS int16 dist needs N <= 32768")
+	}
 	var reached [msbfsBatch]int32
 	nbuf = msbfs(s, sources, sc, nil, nil, ecc, sum, reached[:], dist, nbuf)
 	for i := range sources {
@@ -204,7 +212,7 @@ func MSBFSMaskedSourceInto(s Source, sources []int32, sc *MSBFSScratch, vdead, a
 }
 
 // msbfs is the MSBFS kernel behind both exported entry points.
-func msbfs(s Source, sources []int32, sc *MSBFSScratch, vdead, adead []uint64, ecc []int32, sum []int64, reached, dist, nbuf []int32) []int32 {
+func msbfs(s Source, sources []int32, sc *MSBFSScratch, vdead, adead []uint64, ecc []int32, sum []int64, reached []int32, dist []int16, nbuf []int32) []int32 {
 	c := arenaOf(s, adead)
 	n := s.N()
 	ns := len(sources)
@@ -342,7 +350,8 @@ func msbfs(s Source, sources []int32, sc *MSBFSScratch, vdead, adead []uint64, e
 				i := bits.TrailingZeros64(b)
 				cnt[i]++
 				if dist != nil {
-					dist[i*n+int(v)] = level
+					// level < n <= math.MaxInt16+1: MSBFSSourceInto checks N when dist is set
+					dist[i*n+int(v)] = int16(level)
 				}
 			}
 		}

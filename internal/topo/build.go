@@ -4,7 +4,7 @@ package topo
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // This file implements the streaming count-then-fill builders.  A caller
@@ -92,7 +92,7 @@ func build(n int, stream func(edge func(u, v int)), symmetric bool) (*CSR, error
 	var w uint32
 	for v := 0; v < n; v++ {
 		row := arena[off[v]:off[v+1]]
-		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
+		slices.Sort(row)
 		start := w
 		for i, x := range row {
 			if i > 0 && x == row[i-1] {

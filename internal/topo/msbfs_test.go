@@ -62,7 +62,7 @@ func checkMSBFSMatchesScalar(t *testing.T, s Source, c *CSR, batch int) {
 	sc := NewMSBFSScratch(n)
 	ecc := make([]int32, batch)
 	sum := make([]int64, batch)
-	dist := make([]int32, batch*n)
+	dist := make([]int16, batch*n)
 	srcs := make([]int32, 0, batch)
 	for lo := 0; lo < n; lo += batch {
 		hi := lo + batch
@@ -81,7 +81,7 @@ func checkMSBFSMatchesScalar(t *testing.T, s Source, c *CSR, batch int) {
 					s, src, batch, ecc[i], sum[i], wantEcc, wantSum)
 			}
 			for v := 0; v < n; v++ {
-				if dist[i*n+v] != scalarDist[v] {
+				if int32(dist[i*n+v]) != scalarDist[v] {
 					t.Fatalf("src %d: dist[%d] = %d, scalar %d", src, v, dist[i*n+v], scalarDist[v])
 				}
 			}
