@@ -707,24 +707,51 @@ func BenchmarkNetsimStepAllocs(b *testing.B) {
 }
 
 // BenchmarkNetsimShortRun times one /v1/simulate-shaped random run end to
-// end — New's set-up plus 10 warm-up and 40 measured rounds at rate 0.1 on
-// HSN(3,Q3) — the set-up path BenchmarkNetsimStepAllocs never sees.
+// end — New's set-up plus 10 warm-up and 40 measured rounds at rate 0.1 —
+// the set-up path BenchmarkNetsimStepAllocs never sees.  It covers each
+// network of the perfbench sim-compute workload, plus HSN(3,Q3) with 4
+// failed nodes under the FaultAwareRouter a faulted simulate builds (the
+// table is built once, outside the timer).
 func BenchmarkNetsimShortRun(b *testing.B) {
-	w := superipg.HSN(3, nucleus.Hypercube(3))
-	g, err := w.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	net, err := netsim.BuildSuperIPG(w, g, 8.0, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := netsim.RunRandomUniform(net, int64(i%4)+1, 0.1, 10, 40); err != nil {
+	q3 := nucleus.Hypercube(3)
+	built := func(net *netsim.Network, err error) *netsim.Network {
+		if err != nil {
 			b.Fatal(err)
 		}
+		return net
+	}
+	superNet := func(w *superipg.Network) *netsim.Network {
+		return built(netsim.BuildSuperIPG(w, w.MustBuild(), 8.0, nil))
+	}
+	hsn := superNet(superipg.HSN(3, q3))
+	faulted, _, err := netsim.Degrade(hsn, fault.Spec{Mode: fault.Nodes, Count: 4, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	aware, err := netsim.NewFaultAwareRouter(faulted)
+	if err != nil {
+		b.Fatal(err)
+	}
+	faulted.Router = aware
+	for _, c := range []struct {
+		name string
+		net  *netsim.Network
+	}{
+		{"HSN(3,Q3)", hsn},
+		{"SFN(3,Q3)", superNet(superipg.SFN(3, q3))},
+		{"ring-CN(3,Q3)", superNet(superipg.RingCN(3, q3))},
+		{"Q9/M=8", built(netsim.BuildHypercube(9, 3, 8.0))},
+		{"torus24/M=16", built(netsim.BuildTorus2D(24, 4, 8.0))},
+		{"HSN(3,Q3)/nodes=4/aware", faulted},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := netsim.RunRandomUniform(c.net, int64(i%4)+1, 0.1, 10, 40); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

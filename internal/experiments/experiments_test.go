@@ -1,12 +1,19 @@
 package experiments
 
 import (
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
 
+// smallTranscript is the committed output of paperbench -exp all.
+const smallTranscript = "../../docs/paperbench-small.txt"
+
 // TestAllExperimentsPass runs the full reproduction suite at Small scale:
-// every paper-vs-measured check must hold.
+// every paper-vs-measured check must hold, and the results, rendered
+// exactly as paperbench -exp all prints them, must match the committed
+// transcript byte for byte.
 func TestAllExperimentsPass(t *testing.T) {
 	results, err := RunAll(Small)
 	if err != nil {
@@ -15,13 +22,40 @@ func TestAllExperimentsPass(t *testing.T) {
 	if len(results) != len(IDs()) {
 		t.Fatalf("got %d results for %d experiments", len(results), len(IDs()))
 	}
+	var b strings.Builder
+	passed := 0
 	for _, r := range results {
 		if !r.Passed() {
 			t.Errorf("experiment %s failed:\n%s", r.ID, r)
+		} else {
+			passed++
 		}
 		if len(r.Checks) == 0 {
 			t.Errorf("experiment %s has no checks", r.ID)
 		}
+		fmt.Fprintln(&b, r)
+	}
+	fmt.Fprintf(&b, "%d/%d experiments passed all checks\n", passed, len(results))
+	want, err := os.ReadFile(smallTranscript)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		line := 0
+		for line < min(len(gotLines), len(wantLines)) && gotLines[line] == wantLines[line] {
+			line++
+		}
+		at := func(lines []string) string {
+			if line < len(lines) {
+				return lines[line]
+			}
+			return "<end of transcript>"
+		}
+		t.Errorf("transcript differs from %s at line %d:\n got: %s\nwant: %s\n"+
+			"only for a deliberate re-pin, regenerate it from the repository root with:\n"+
+			"  go run ./cmd/paperbench -exp all > docs/paperbench-small.txt",
+			smallTranscript, line+1, at(gotLines), at(wantLines))
 	}
 }
 
