@@ -171,7 +171,7 @@ func killPorts(net *Network, u, v int) {
 func (s *Sim) resolveFaulty(v int, dst int32) int {
 	net := s.Net
 	p := s.routePort(v, dst)
-	if p >= 0 && p < net.Ports.Arity(v) && net.Ports.Port(v, p) >= 0 && !net.portDead(v, p) {
+	if _, ok := s.portArc(v, p); ok && !net.portDead(v, p) {
 		return p
 	}
 	if p < 0 {

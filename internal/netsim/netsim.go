@@ -12,20 +12,30 @@
 // bottleneck".
 //
 // The simulator advances in two phases per round, each parallelized over
-// node shards with a barrier in between: phase A pops up to capacity
-// packets from every node's output queues; phase B routes arrivals and
-// injections into the destination nodes' queues.  Queue ownership moves
-// from the source shard (phase A) to the target shard (phase B), so the
-// phases are data-race free; results are deterministic for a fixed seed
-// and worker-independent.
+// node shards with a barrier in between.  Phase A pops up to capacity
+// packets from every busy output queue of the shard's nodes into one
+// flight list per destination shard; phase B drains the lists addressed
+// to its shard in source-shard order, routing each arrival into its head
+// node's queues, then runs its nodes' injectors.  A queue is only touched
+// by the shard owning its tail node, and a flight list is written by its
+// source shard in phase A and read by its destination shard in phase B,
+// so the phases are data-race free.  Every node sees its arrivals in
+// ascending arc id and then its injector, and nodes do not interact
+// within phase B, so results are deterministic for a fixed seed and
+// worker-independent.
 //
-// State layout: every per-link quantity (queue, waiting count, token
-// credit, the batch in transit) is one flat slice indexed by arc, and a
-// count-then-fill reverse-arc index lists each node's incoming arcs, so
-// New is O(arcs) with a fixed number of allocations.  Each node draws its
-// traffic and fault diverts from its own splitmix64 stream, seeded in O(1)
-// by hashing (seed, node).  Every all-pairs router table is built by one
-// routing-table core (tables.go): a reverse BFS fills each destination's row.
+// State layout: every per-link quantity (queue ring, waiting count, token
+// credit) is one flat slice indexed by the port map's own arc ids.
+// Each queue is a power-of-two ring carved from one arena and doubled when
+// full, so nothing is compacted, and New is O(arcs) with a fixed number of
+// allocations.  A round costs work in proportion to the packets that move,
+// plus one injector call per node: each shard keeps a bitmap of its busy
+// arcs, which a push onto an empty queue sets and phase A clears once it
+// empties the queue, and phase A walks only those bits.  Each node draws
+// its traffic and fault diverts from its own splitmix64 stream, seeded in
+// O(1) by hashing (seed, node).  Every all-pairs router table is built by
+// one routing-table core (tables.go): a reverse BFS fills each
+// destination's row.
 //
 // Unlike the metric kernels in internal/topo and internal/graph, the
 // simulator is not generic over topo.Source: a simulation's per-node
@@ -43,7 +53,9 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 
 	"ipg/internal/topo"
@@ -209,43 +221,42 @@ func (s Stats) HopsPerPacket() float64 {
 type Sim struct {
 	Net *Network
 
-	arcOff []uint32 // u's arcs are [arcOff[u], arcOff[u+1])
-	// queues[a] is arc a's FIFO; its waiting packets are the last qlen[a]
-	// elements, the prefix before them was transmitted in earlier rounds.
-	queues [][]Packet
+	// The port map's flat banks: arc a's head node is ports[a] (-1 for an
+	// absent port) and its capacity caps[a]; u's arcs are
+	// [arcOff[u], arcOff[u+1]).
+	arcOff []uint32
+	ports  []int32
+	caps   []float64
+	// rings[a] is arc a's FIFO: its qlen[a] waiting packets start at
+	// rings[a].buf[rings[a].head] and wrap.
+	rings []ring
 	// qlen[a] counts the packets waiting on arc a; u's row
 	// qlen[arcOff[u]:arcOff[u+1]] is what adaptive routers see.
 	qlen    []int32
 	credits []float64 // token-bucket credit per arc
-	// sent[a] is the batch phase A transmitted on arc a this round: a view
-	// of queues[a]'s backing array, read and cleared in phase B by the
-	// arc's head node.  Phase B only appends past it, and the transmitted
-	// prefix is reclaimed in a later phase A, so the view stays intact.
-	sent [][]Packet
+	// offChip has bit a set when arc a crosses chips.
+	offChip []uint64
 
-	// Reverse-arc index, built count-then-fill: the arcs arriving at v
-	// are in[inOff[v]:inOff[v+1]], ordered by (source, port) ascending.
-	inOff []uint32
-	in    []inArc
+	// shards partition the nodes into the fixed ranges the workers own;
+	// shard k holds nodes [k*chunk, (k+1)*chunk).
+	shards []shard
+	chunk  int
 
 	// adaptive is Net.Router's AdaptiveRouter view, or nil; resolved once
 	// so routing decisions do no interface assertion.
 	adaptive AdaptiveRouter
 
-	round   int32
-	stats   Stats
-	workers int
+	round int32
+	stats Stats
 
-	// Persistent parallelism state: the node ranges are fixed at New, and
-	// the per-range worker closures plus the two phase closures are
-	// created once, so Step allocates nothing for its fan-out.  curPhase
-	// is written between phases (single-threaded points) and only read by
-	// the workers.
-	ranges    [][2]int
+	// Persistent parallelism state: the per-shard worker closures plus the
+	// two phase closures are created once, so Step allocates nothing for
+	// its fan-out.  curPhase is written between phases (single-threaded
+	// points) and only read by the workers.
 	workerFns []func()
-	phaseAFn  func(lo, hi int)
-	phaseBFn  func(lo, hi int)
-	curPhase  func(lo, hi int)
+	phaseAFn  func(k int)
+	phaseBFn  func(k int)
+	curPhase  func(k int)
 	wg        sync.WaitGroup
 
 	// Livelock detection: with fractional link capacities, rounds where
@@ -278,21 +289,58 @@ type Sim struct {
 	histW int
 }
 
-// queueSeed is the per-arc queue capacity New carves from one arena.
-const queueSeed = 2
-
-// inArc is one entry of the reverse-arc index: the arc, and whether it
-// crosses chips.
-type inArc struct {
-	arc     uint32
-	offChip bool
+// ring is a FIFO over a buffer whose length is a power of two; its
+// packets start at buf[head] and wrap.  A push onto a full ring doubles it.
+type ring struct {
+	buf  []Packet
+	head uint32
 }
 
-// localStats is one node's counters: eight int64s, a 64-byte cache line,
-// so neighbouring shards do not falsely share them.
+// queueSeed is the per-arc ring capacity New carves from one arena; a
+// power of two, like every capacity a ring doubles to.
+const queueSeed = 2
+
+// shard is one worker's share of a round: its nodes, the busy bits of
+// their arcs, the packets its phase A put in flight, and its counters.
+// Only its own worker writes it, except that phase B of shard t empties
+// out[t] of every shard.
+type shard struct {
+	lo, hi int    // nodes [lo, hi)
+	arcLo  uint32 // arcOff[lo]: bit i of busy is arc arcLo+i
+	// busy has a bit set for every arc of the shard holding a packet.
+	busy []uint64
+	// out[t] lists the packets phase A transmitted this round toward shard
+	// t's nodes, in ascending arc order, FIFO within an arc.
+	out [][]flight
+	// moved counts this round's transmissions; hops and offchip accumulate
+	// them (and their chip-crossing share) until ResetStats.
+	moved, hops, offchip int64
+	// bad is the invalid port the router returned at the lowest node of
+	// the shard (that node's first), reported by Step; bad.node < 0: none.
+	bad badPort
+	_   [64]byte // keep neighbouring shards' counters off one cache line
+}
+
+// rowGap is how many unused slice headers (24 bytes each) separate two
+// shards' flight-list rows: enough to span a 64-byte cache line.
+const rowGap = 3
+
+// flight is a packet in transit to node to.
+type flight struct {
+	to int32
+	Packet
+}
+
+// badPort records a routing decision naming a port the node lacks.
+type badPort struct {
+	node int
+	dst  int32
+	port int
+}
+
+// localStats is one node's counters, written by the node's phase-B shard.
 type localStats struct {
-	delivered, latency, hops, offchip, injected, dropped, retried int64
-	moved                                                         int64 // packets received this round
+	delivered, latency, injected, dropped, retried int64
 }
 
 // checkNodeCount validates that a node count fits the int32 node-id /
@@ -316,11 +364,7 @@ func New(net *Network, seed int64) (*Sim, error) {
 		return nil, err
 	}
 	n := net.N
-	s := &Sim{
-		Net:     net,
-		workers: runtime.GOMAXPROCS(0),
-		faulty:  net.Faulty(),
-	}
+	s := &Sim{Net: net, faulty: net.Faulty()}
 	s.adaptive, _ = net.Router.(AdaptiveRouter)
 	if s.faulty {
 		s.ttl0 = net.PacketTTL
@@ -332,56 +376,36 @@ func New(net *Network, seed int64) (*Sim, error) {
 			}
 		}
 	}
-	s.workers = max(1, min(s.workers, n))
-	s.arcOff = make([]uint32, n+1)
-	for u := 0; u < n; u++ {
-		s.arcOff[u+1] = s.arcOff[u] + uint32(net.Ports.Arity(u))
-	}
-	arcs := s.arcOff[n]
-	s.queues = make([][]Packet, arcs)
-	// Every queue starts as a queueSeed-packet window of one shared arena;
-	// only a queue that outgrows it reallocates.
-	arena := make([]Packet, int(arcs)*queueSeed)
-	for a := range s.queues {
-		s.queues[a] = arena[a*queueSeed : a*queueSeed : (a+1)*queueSeed]
+	workers := max(1, min(runtime.GOMAXPROCS(0), n))
+	s.arcOff, s.ports, s.caps = net.Ports.Banks()
+	arcs := len(s.ports)
+	s.rings = make([]ring, arcs)
+	// Every ring starts as a queueSeed-packet window of one shared arena;
+	// only a ring that outgrows it reallocates.
+	arena := make([]Packet, arcs*queueSeed)
+	for a := range s.rings {
+		s.rings[a].buf = arena[a*queueSeed : (a+1)*queueSeed : (a+1)*queueSeed]
 	}
 	s.qlen = make([]int32, arcs)
 	s.credits = make([]float64, arcs)
-	s.sent = make([][]Packet, arcs)
+	s.offChip = make([]uint64, (arcs+63)/64)
 	s.perNode = make([]localStats, n)
 	s.rngs = make([]stream, n)
 	for u := range s.rngs {
 		s.rngs[u] = newStream(seed, u)
 	}
 
-	// Reverse-arc index: count arrivals per head node into inOff[v+1],
-	// prefix-sum, fill using inOff[v] as v's cursor, then shift the
-	// advanced cursors back into offsets.
-	s.inOff = make([]uint32, n+1)
 	minCap := math.Inf(1)
 	for u := 0; u < n; u++ {
-		for p, v := range net.Ports.PortRow(u) {
-			if v >= 0 {
-				s.inOff[v+1]++
-				minCap = min(minCap, net.Ports.Cap(u, p))
+		for a := s.arcOff[u]; a < s.arcOff[u+1]; a++ {
+			if v := s.ports[a]; v >= 0 {
+				minCap = min(minCap, s.caps[a])
+				if net.offChip(int32(u), v) {
+					s.offChip[a/64] |= 1 << (a % 64)
+				}
 			}
 		}
 	}
-	for v := 0; v < n; v++ {
-		s.inOff[v+1] += s.inOff[v]
-	}
-	s.in = make([]inArc, s.inOff[n])
-	for u := 0; u < n; u++ {
-		for p, v := range net.Ports.PortRow(u) {
-			if v >= 0 {
-				s.in[s.inOff[v]] = inArc{arc: s.arcOff[u] + uint32(p), offChip: net.offChip(int32(u), v)}
-				s.inOff[v]++
-			}
-		}
-	}
-	copy(s.inOff[1:], s.inOff[:n])
-	s.inOff[0] = 0
-
 	s.maxIdle = 2
 	if minCap < 1 {
 		s.maxIdle = int(math.Ceil(1/minCap)) + 2
@@ -389,17 +413,36 @@ func New(net *Network, seed int64) (*Sim, error) {
 	if net.SinglePort {
 		s.rrPort = make([]int, n)
 	}
-	chunk := (n + s.workers - 1) / s.workers
-	s.ranges = make([][2]int, 0, s.workers)
-	for lo := 0; lo < n; lo += chunk {
-		s.ranges = append(s.ranges, [2]int{lo, min(lo+chunk, n)})
+
+	// Shards: fixed node ranges, each with a word-aligned window of one
+	// busy-bit arena (so no two shards share a word) and a row of one
+	// flight-list table.  Phase A rewrites its row's headers on every
+	// transmission, so rows are spaced a cache line apart.
+	s.chunk = max(1, (n+workers-1)/workers)
+	nsh := (n + s.chunk - 1) / s.chunk
+	s.shards = make([]shard, nsh)
+	words := 0
+	for k := range s.shards {
+		sh := &s.shards[k]
+		sh.lo, sh.hi = k*s.chunk, min((k+1)*s.chunk, n)
+		sh.arcLo = s.arcOff[sh.lo]
+		words += int(s.arcOff[sh.hi]-sh.arcLo+63) / 64
 	}
-	s.workerFns = make([]func(), len(s.ranges))
-	for i, r := range s.ranges {
-		lo, hi := r[0], r[1]
-		s.workerFns[i] = func() {
+	busy := make([]uint64, words)
+	stride := nsh + rowGap
+	outs := make([][]flight, nsh*stride)
+	for k := range s.shards {
+		sh := &s.shards[k]
+		w := int(s.arcOff[sh.hi]-sh.arcLo+63) / 64
+		sh.busy, busy = busy[:w:w], busy[w:]
+		sh.out = outs[k*stride : k*stride+nsh : k*stride+nsh]
+		sh.bad.node = -1
+	}
+	s.workerFns = make([]func(), nsh)
+	for k := range s.workerFns {
+		s.workerFns[k] = func() {
 			defer s.wg.Done()
-			s.curPhase(lo, hi)
+			s.curPhase(k)
 		}
 	}
 	s.phaseAFn = s.phaseA
@@ -411,11 +454,53 @@ func New(net *Network, seed int64) (*Sim, error) {
 // phase B for every node u and injects its packets with Emit.
 func (s *Sim) SetInjector(fn func(u int, round int32)) { s.injectFn = fn }
 
-// push appends pkt to the queue of port p at node v.
-func (s *Sim) push(v, p int, pkt Packet) {
-	a := s.arcOff[v] + uint32(p)
-	s.queues[a] = append(s.queues[a], pkt)
-	s.qlen[a]++
+// shardOf returns the shard owning node u.
+func (s *Sim) shardOf(u int) *shard { return &s.shards[u/s.chunk] }
+
+// portArc returns the arc of port p at node v, and whether v has that
+// port.
+func (s *Sim) portArc(v, p int) (uint32, bool) {
+	lo := s.arcOff[v]
+	a := lo + uint32(p)
+	return a, uint(p) < uint(s.arcOff[v+1]-lo) && s.ports[a] >= 0
+}
+
+// push appends pkt to arc a's ring, marking the arc busy in its shard sh
+// when its queue was empty.
+func (s *Sim) push(sh *shard, a uint32, pkt Packet) {
+	r := &s.rings[a]
+	n := s.qlen[a]
+	if int(n) == len(r.buf) {
+		r.grow()
+	}
+	r.buf[(r.head+uint32(n))&uint32(len(r.buf)-1)] = pkt
+	s.qlen[a] = n + 1
+	if n == 0 {
+		i := a - sh.arcLo
+		sh.busy[i/64] |= 1 << (i % 64)
+	}
+}
+
+// grow doubles the full ring r, unwrapping its packets to the front.
+func (r *ring) grow() {
+	g := make([]Packet, 2*len(r.buf))
+	copy(g[copy(g, r.buf[r.head:]):], r.buf[:r.head])
+	r.buf, r.head = g, 0
+}
+
+// forward queues pkt at healthy node v on the port the router picks.  A
+// port v does not have is not pushed: it is recorded on v's shard sh, and
+// Step reports it.
+func (s *Sim) forward(sh *shard, v int, pkt Packet) {
+	p := s.routePort(v, pkt.Dst)
+	a, ok := s.portArc(v, p)
+	if !ok {
+		if sh.bad.node < 0 || v < sh.bad.node {
+			sh.bad = badPort{node: v, dst: pkt.Dst, port: p}
+		}
+		return
+	}
+	s.push(sh, a, pkt)
 }
 
 // Emit injects one packet at node u, destined for dst, in the round being
@@ -426,12 +511,11 @@ func (s *Sim) Emit(u int, dst int32) {
 	if int(dst) == u {
 		return
 	}
+	s.perNode[u].injected++
 	if !s.faulty {
-		s.push(u, s.routePort(u, dst), Packet{Dst: dst, Born: s.round + 1})
-		s.perNode[u].injected++
+		s.forward(s.shardOf(u), u, Packet{Dst: dst, Born: s.round + 1})
 		return
 	}
-	s.perNode[u].injected++
 	if s.Net.nodeDead(u) {
 		// A dead source cannot inject; like Enqueue, count the packet as
 		// injected-then-dropped so batch workloads with a fixed intended
@@ -444,7 +528,7 @@ func (s *Sim) Emit(u int, dst int32) {
 		s.perNode[u].dropped++ // no alive route out of u
 		return
 	}
-	s.push(u, p, Packet{Dst: dst, Born: s.round + 1, TTL: s.ttl0})
+	s.push(s.shardOf(u), s.arcOff[u]+uint32(p), Packet{Dst: dst, Born: s.round + 1, TTL: s.ttl0})
 }
 
 // EnableLatencyHistogram starts recording per-packet delivery latencies in
@@ -505,24 +589,33 @@ func (s *Sim) Enqueue(u int, dst int32) error {
 			s.perNode[u].dropped++
 			return nil
 		}
-		s.push(u, p, Packet{Dst: dst, Born: s.round, TTL: s.ttl0})
+		s.push(s.shardOf(u), s.arcOff[u]+uint32(p), Packet{Dst: dst, Born: s.round, TTL: s.ttl0})
 		return nil
 	}
 	p := s.routePort(u, dst)
-	if p < 0 || p >= s.Net.Ports.Arity(u) || s.Net.Ports.Port(u, p) < 0 {
-		return fmt.Errorf("netsim: router returned invalid port %d at node %d for dst %d", p, u, dst)
+	a, ok := s.portArc(u, p)
+	if !ok {
+		return invalidPortError(u, dst, p)
 	}
-	s.push(u, p, Packet{Dst: dst, Born: s.round})
+	s.push(s.shardOf(u), a, Packet{Dst: dst, Born: s.round})
 	s.perNode[u].injected++
 	return nil
 }
 
-// parallelNodes runs fn over the fixed node ranges on the worker pool.
-// The worker closures are the persistent ones built in New; the spawned
-// goroutines are joined by wg.Wait before return.
-func (s *Sim) parallelNodes(fn func(lo, hi int)) {
-	if len(s.ranges) <= 1 {
-		fn(0, s.Net.N)
+// invalidPortError names a routing decision for a port node u lacks.
+func invalidPortError(u int, dst int32, p int) error {
+	return fmt.Errorf("netsim: router returned invalid port %d at node %d for dst %d", p, u, dst)
+}
+
+// parallelShards runs fn for every shard on the worker pool.  The worker
+// closures are the persistent ones built in New; the spawned goroutines
+// are joined by wg.Wait before return.
+func (s *Sim) parallelShards(fn func(k int)) {
+	switch len(s.shards) {
+	case 0:
+		return
+	case 1:
+		fn(0)
 		return
 	}
 	s.curPhase = fn
@@ -533,145 +626,143 @@ func (s *Sim) parallelNodes(fn func(lo, hi int)) {
 	s.wg.Wait()
 }
 
-// backlog returns arc a's queue with the already-transmitted prefix
-// reclaimed once it is at least as long as the waiting packets, so each
-// packet is copied O(1) times amortized.  Only phase A calls it: by then
-// every view handed out by the previous phase A has been consumed.
-func (s *Sim) backlog(a uint32) []Packet {
-	q := s.queues[a]
-	if head := len(q) - int(s.qlen[a]); head > 0 && head >= int(s.qlen[a]) {
-		q = q[:copy(q, q[head:])]
-		s.queues[a] = q
+// transmit moves the first take waiting packets of arc a, owned by shard
+// sh, into sh's flight list toward the arc's head node.
+func (s *Sim) transmit(sh *shard, a uint32, take int) {
+	v := s.ports[a]
+	t := int(v) / s.chunk
+	r := &s.rings[a]
+	mask := uint32(len(r.buf) - 1)
+	h := r.head
+	out := sh.out[t]
+	n := len(out)
+	out = slices.Grow(out, take)[:n+take]
+	for i := range out[n:] {
+		out[n+i] = flight{to: v, Packet: r.buf[h]}
+		h = (h + 1) & mask
 	}
-	return q
+	sh.out[t] = out
+	r.head = h
+	if s.qlen[a] -= int32(take); s.qlen[a] == 0 {
+		i := a - sh.arcLo
+		sh.busy[i/64] &^= 1 << (i % 64)
+	}
+	sh.moved += int64(take)
+	if s.offChip[a/64]&(1<<(a%64)) != 0 {
+		sh.offchip += int64(take)
+	}
 }
 
-// transmit hands the first take waiting packets of arc a to phase B.
-func (s *Sim) transmit(a uint32, q []Packet, take int) {
-	head := len(q) - int(s.qlen[a])
-	s.sent[a] = q[head : head+take : head+take]
-	s.qlen[a] -= int32(take)
-}
-
-// phaseA transmits up to capacity from each output queue of the nodes in
-// [lo, hi).
-func (s *Sim) phaseA(lo, hi int) {
-	net := s.Net
-	for u := lo; u < hi; u++ {
-		if s.faulty && net.nodeDead(u) {
-			continue // dead nodes transmit nothing (their queues stay empty)
+// phaseA transmits up to capacity from each busy output queue of shard k,
+// in ascending arc order.
+func (s *Sim) phaseA(k int) {
+	sh := &s.shards[k]
+	if s.Net.SinglePort {
+		for u := sh.lo; u < sh.hi; u++ {
+			s.singlePortPhaseA(sh, u)
 		}
-		if net.SinglePort {
-			s.singlePortPhaseA(u)
-			continue
-		}
-		base := s.arcOff[u]
-		for p, cap := range net.Ports.CapRow(u) {
-			a := base + uint32(p)
-			q := s.backlog(a)
+		return
+	}
+	for i, w := range sh.busy {
+		for w != 0 {
+			a := sh.arcLo + uint32(i*64+bits.TrailingZeros64(w))
+			w &= w - 1
 			avail := int(s.qlen[a])
-			if avail == 0 {
-				continue
-			}
 			take := avail
-			if cap < float64(avail) {
-				// Token bucket: credits accumulate across idle rounds
-				// up to one round's worth plus one packet.
+			if cap := s.caps[a]; cap < float64(avail) {
+				// Token bucket: credits accumulate across rounds with
+				// waiting packets up to one round's worth plus one packet.
 				c := min(s.credits[a]+cap, cap+1)
 				take = min(int(c), avail)
 				s.credits[a] = c - float64(take)
 			}
 			if take > 0 {
-				s.transmit(a, q, take)
+				s.transmit(sh, a, take)
 			}
 		}
 	}
 }
 
-// phaseB routes arrivals and injections into destination nodes [lo, hi).
-// s.round is stable for the whole phase (incremented only after the join
-// in Step), so reading it here is race-free.
-func (s *Sim) phaseB(lo, hi int) {
-	net := s.Net
+// phaseB delivers or forwards the packets in flight to shard k's nodes,
+// then runs their injectors.  s.round is stable for the whole phase
+// (incremented only after the join in Step), so reading it here is
+// race-free.
+func (s *Sim) phaseB(k int) {
+	sh := &s.shards[k]
 	round := s.round
-	for v := lo; v < hi; v++ {
-		if s.faulty && net.nodeDead(v) {
-			// Dead nodes receive and forward nothing, but their injector
-			// still runs: Emit accounts each intended packet as
-			// injected-then-dropped so batch workloads drain to conservation.
-			if s.injectFn != nil {
-				s.injectFn(v, round+1)
-			}
-			continue
+	for i := range s.shards {
+		src := &s.shards[i]
+		for _, f := range src.out[k] {
+			s.arrive(sh, int(f.to), f.Packet, round)
 		}
-		ls := &s.perNode[v]
-		var hist []int64
-		if s.hist != nil {
-			hist = s.hist[v*s.histW : (v+1)*s.histW]
-		}
-		var moved int64
-		for _, in := range s.in[s.inOff[v]:s.inOff[v+1]] {
-			box := s.sent[in.arc]
-			if len(box) == 0 {
-				continue
-			}
-			s.sent[in.arc] = nil
-			moved += int64(len(box))
-			if in.offChip {
-				ls.offchip += int64(len(box))
-			}
-			for _, pkt := range box {
-				if int(pkt.Dst) == v {
-					ls.delivered++
-					lat := int64(round + 1 - pkt.Born)
-					ls.latency += lat
-					if hist != nil {
-						hist[min(int(lat), len(hist)-1)]++
-					}
-					continue
-				}
-				if s.faulty {
-					// Each forwarding hop costs one TTL unit; a packet that
-					// runs out (or has no alive route) is dropped, keeping
-					// injected = delivered + dropped + in-flight exact.
-					pkt.TTL--
-					if pkt.TTL <= 0 {
-						ls.dropped++
-						continue
-					}
-					p := s.resolveFaulty(v, pkt.Dst)
-					if p < 0 {
-						ls.dropped++
-						continue
-					}
-					s.push(v, p, pkt)
-					continue
-				}
-				s.push(v, s.routePort(v, pkt.Dst), pkt)
-			}
-		}
-		ls.hops += moved
-		ls.moved = moved
-		if s.injectFn != nil {
+		src.out[k] = src.out[k][:0]
+	}
+	if s.injectFn != nil {
+		// Dead nodes receive and forward nothing, but their injector still
+		// runs: Emit accounts each intended packet as injected-then-dropped
+		// so batch workloads drain to conservation.
+		for v := sh.lo; v < sh.hi; v++ {
 			s.injectFn(v, round+1)
 		}
 	}
 }
 
+// arrive delivers pkt at node v of shard sh, or routes it onward.
+func (s *Sim) arrive(sh *shard, v int, pkt Packet, round int32) {
+	if int(pkt.Dst) == v {
+		ls := &s.perNode[v]
+		ls.delivered++
+		lat := int64(round + 1 - pkt.Born)
+		ls.latency += lat
+		if s.hist != nil {
+			s.hist[v*s.histW+min(int(lat), s.histW-1)]++
+		}
+		return
+	}
+	if !s.faulty {
+		s.forward(sh, v, pkt)
+		return
+	}
+	// Each forwarding hop costs one TTL unit; a packet that runs out (or
+	// has no alive route) is dropped, keeping injected = delivered +
+	// dropped + in-flight exact.
+	pkt.TTL--
+	if pkt.TTL <= 0 {
+		s.perNode[v].dropped++
+		return
+	}
+	p := s.resolveFaulty(v, pkt.Dst)
+	if p < 0 {
+		s.perNode[v].dropped++
+		return
+	}
+	s.push(sh, s.arcOff[v]+uint32(p), pkt)
+}
+
 // Step advances the simulation one round.  It returns the number of
-// packets that moved or were injected (0 with packets in flight indicates
-// livelock, reported as an error).
+// packets that moved (0 with packets in flight indicates livelock,
+// reported as an error).  A router that returned a port its node lacks
+// fails the round, with the offence at the lowest node reported.
 func (s *Sim) Step() (int, error) {
-	// Phase A: pop up to capacity from each output queue.
-	s.parallelNodes(s.phaseAFn)
+	// Phase A: pop up to capacity from each busy output queue.
+	s.parallelShards(s.phaseAFn)
 	// Phase B: arrivals and injections, sharded by destination node.
-	s.parallelNodes(s.phaseBFn)
+	s.parallelShards(s.phaseBFn)
 	s.round++
 	s.stats.Rounds++
 	moved := 0
-	for i := range s.perNode {
-		moved += int(s.perNode[i].moved)
-		s.perNode[i].moved = 0
+	bad := badPort{node: -1}
+	for i := range s.shards {
+		sh := &s.shards[i]
+		moved += int(sh.moved)
+		sh.hops += sh.moved
+		sh.moved = 0
+		if sh.bad.node >= 0 && (bad.node < 0 || sh.bad.node < bad.node) {
+			bad = sh.bad
+		}
+	}
+	if bad.node >= 0 {
+		return 0, invalidPortError(bad.node, bad.dst, bad.port)
 	}
 	if moved == 0 && s.injectFn == nil && s.InFlight() > 0 {
 		s.zeroStreak++
@@ -684,26 +775,27 @@ func (s *Sim) Step() (int, error) {
 	return moved, nil
 }
 
-// singlePortPhaseA transmits at most one packet at node u, on the next
-// nonempty port in round-robin order (credits still gate slow links).
-func (s *Sim) singlePortPhaseA(u int) {
-	caps := s.Net.Ports.CapRow(u)
-	np := len(caps)
+// singlePortPhaseA transmits at most one packet at node u of shard sh, on
+// the next nonempty port in round-robin order (credits still gate slow
+// links).
+func (s *Sim) singlePortPhaseA(sh *shard, u int) {
+	base := s.arcOff[u]
+	np := int(s.arcOff[u+1] - base)
 	start := s.rrPort[u]
 	for off := 0; off < np; off++ {
 		p := (start + off) % np
-		a := s.arcOff[u] + uint32(p)
+		a := base + uint32(p)
 		if s.qlen[a] == 0 {
 			continue
 		}
-		if cap := caps[p]; cap < 1 {
+		if cap := s.caps[a]; cap < 1 {
 			s.credits[a] = min(s.credits[a]+cap, cap+1)
 			if s.credits[a] < 1 {
 				continue // link not ready; try another port
 			}
 			s.credits[a]--
 		}
-		s.transmit(a, s.backlog(a), 1)
+		s.transmit(sh, a, 1)
 		s.rrPort[u] = (p + 1) % np
 		return
 	}
@@ -718,18 +810,21 @@ func (s *Sim) InFlight() int64 {
 	return total
 }
 
-// Stats reduces the per-node counters into the aggregate view.
+// Stats reduces the per-node and per-shard counters into the aggregate
+// view.
 func (s *Sim) Stats() Stats {
 	out := s.stats
 	for i := range s.perNode {
 		ls := &s.perNode[i]
 		out.Delivered += ls.delivered
 		out.TotalLatency += ls.latency
-		out.Hops += ls.hops
-		out.OffChipHops += ls.offchip
 		out.Injected += ls.injected
 		out.Dropped += ls.dropped
 		out.Retried += ls.retried
+	}
+	for i := range s.shards {
+		out.Hops += s.shards[i].hops
+		out.OffChipHops += s.shards[i].offchip
 	}
 	out.InFlight = s.InFlight()
 	return out
@@ -741,4 +836,7 @@ func (s *Sim) ResetStats() {
 	s.stats = Stats{}
 	clear(s.perNode)
 	clear(s.hist)
+	for i := range s.shards {
+		s.shards[i].hops, s.shards[i].offchip = 0, 0
+	}
 }

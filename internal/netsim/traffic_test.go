@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ipg/internal/topo"
@@ -253,5 +254,81 @@ func TestFailureInjectionInvalidPort(t *testing.T) {
 	}
 	if err := s.Enqueue(0, 3); err == nil {
 		t.Error("invalid port should be rejected")
+	}
+}
+
+// TestFailureInjectionInvalidForwardPort verifies that a router answer
+// that is not a present port of the node fails the round on a healthy
+// network, naming the node, the destination and the port, whether it comes
+// while forwarding or from an injector's Emit.  Pushing the packet anyway
+// would queue it on another node's arc, or index before arc 0 at node 0.
+func TestFailureInjectionInvalidForwardPort(t *testing.T) {
+	q4 := func(at, dst, port int) *Network {
+		net := mustHypercube(t, 4, 1, 8.0)
+		net.Router = routeFunc(func(cur, d int) int {
+			if cur == at && d == dst {
+				return port
+			}
+			return HypercubeRouter{D: 4}.NextPort(cur, d)
+		})
+		return net
+	}
+	// Node 1 of this path has ports {0, 2, absent}.
+	path := &Network{
+		Name:  "path",
+		N:     3,
+		Ports: topo.PortMapFromRows([][]int32{{1}, {0, 2, -1}, {1}}, [][]float64{{1}, {1, 1, 1}, {1}}),
+		Router: routeFunc(func(cur, dst int) int {
+			if cur == 1 {
+				return 2 // absent at node 1
+			}
+			return 0
+		}),
+	}
+	emitOnce := func(u int, dst int32) func(s *Sim) {
+		return func(s *Sim) {
+			s.SetInjector(func(v int, round int32) {
+				if v == u && round == 1 {
+					s.Emit(v, dst)
+				}
+			})
+		}
+	}
+	enqueue := func(u int, dst int32) func(s *Sim) {
+		return func(s *Sim) {
+			if err := s.Enqueue(u, dst); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		net   *Network
+		start func(s *Sim)
+		want  string
+	}{
+		{"forward -1 at node 5", q4(5, 9, -1), enqueue(4, 9), "port -1 at node 5 for dst 9"},
+		{"forward -1 at node 0", q4(0, 2, -1), enqueue(1, 2), "port -1 at node 0 for dst 2"},
+		{"emit port=arity at node 0", q4(0, 7, 4), emitOnce(0, 7), "port 4 at node 0 for dst 7"},
+		{"forward absent port", path, enqueue(0, 2), "port 2 at node 1 for dst 2"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := New(c.net, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.start(s)
+			for r := 0; r < 8; r++ {
+				if _, err = s.Step(); err != nil {
+					break
+				}
+			}
+			if err == nil {
+				t.Fatalf("no error; stats %+v", s.Stats())
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Errorf("error %q does not name %q", err, c.want)
+			}
+		})
 	}
 }

@@ -123,3 +123,11 @@ func (pm *PortMap) PortRow(u int) []int32 { return pm.ports[pm.off[u]:pm.off[u+1
 
 // CapRow returns u's capacity bank as a zero-copy view.
 func (pm *PortMap) CapRow(u int) []float64 { return pm.caps[pm.off[u]:pm.off[u+1]] }
+
+// Banks returns the flat banks behind the row views, for loops that index
+// by arc: port p of u is arc off[u]+p, whose neighbor is ports[off[u]+p]
+// and capacity caps[off[u]+p].  The slices are the map's own storage:
+// read them, never modify them.
+func (pm *PortMap) Banks() (off []uint32, ports []int32, caps []float64) {
+	return pm.off, pm.ports, pm.caps
+}

@@ -205,6 +205,17 @@ func TestPortMapFromRows(t *testing.T) {
 	if pm.Port(0, 1) != 2 || pm.Cap(2, 0) != 3 {
 		t.Error("values mismatch")
 	}
+	off, ports, caps := pm.Banks()
+	for u := 0; u < pm.N(); u++ {
+		for p := 0; p < pm.Arity(u); p++ {
+			if a := off[u] + uint32(p); ports[a] != pm.Port(u, p) || caps[a] != pm.Cap(u, p) {
+				t.Errorf("bank arc %d disagrees with port %d of node %d", a, p, u)
+			}
+		}
+	}
+	if len(off) != pm.N()+1 || int(off[pm.N()]) != len(ports) || len(ports) != len(caps) {
+		t.Errorf("bank shapes off=%d ports=%d caps=%d", len(off), len(ports), len(caps))
+	}
 }
 
 func TestFromSource(t *testing.T) {
