@@ -115,7 +115,6 @@ func simPinCases(t *testing.T) []simPinCase {
 		{"Q9/M=8", built(BuildHypercube(9, 3, 8))},
 		{"torus24/M=16", built(BuildTorus2D(24, 4, 8))},
 	}
-	// Captured with the simulator that swept every arc twice per round.
 	want := map[string]uint64{
 		"random/HSN(3,Q3)/rate=0.1":       0x616543bc7e6486a9,
 		"random/HSN(3,Q3)/rate=0.4":       0x6cb6dcc3b0291660,

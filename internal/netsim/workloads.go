@@ -13,9 +13,9 @@ import (
 //
 // Every runner has a context-aware variant (the ...Ctx functions) used by
 // the serving layer: the round loop checks the context once per simulated
-// round — each round touches every node, so cancellation is observed
-// after at most O(N) work — and returns the context's error with the
-// partial round count.
+// round — a round makes at most one injector call per node and handles
+// each packet in flight once, so cancellation is observed after that much
+// work — and returns the context's error with the partial round count.
 
 // RandomResult reports a random-routing run.
 type RandomResult struct {
