@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -444,56 +445,22 @@ func pathAlive(c *topo.CSR, set *fault.Set, path []int) bool {
 	return true
 }
 
-// shortestPath reconstructs one BFS shortest path src -> dst by walking
-// back from dst along strictly decreasing distances.  It is generic over
-// the artifact's adjacency source: a materialized CSR takes the
-// zero-copy arena fast path inside the kernel, an implicit artifact
-// regenerates rows from its codec.  The distance vector, queue, and
-// neighbor buffer all come from the shared topo scratch pool, so the
-// only per-request allocation is the response path itself.  The
-// backtrack walk is O(path length * degree) and honors ctx so a
-// disconnected client cannot pin a worker on a high-diameter
-// (path-like) topology.
+// shortestPath returns the route src -> dst from topo's bidirectional
+// search over the artifact's adjacency source: a materialized CSR reads
+// arena rows in place, an implicit artifact regenerates rows from its
+// codec.  The search checks ctx once per level, so a cancelled or
+// timed-out request frees its worker slot within one level.  Its labels,
+// queue and neighbor buffer come from the shared topo scratch pool, so
+// the only per-request allocation is the response path itself.
 func shortestPath(ctx context.Context, a *Artifact, src, dst int) ([]int, error) {
 	source := a.Source()
 	s := topo.GetScratch(source.N())
 	defer topo.PutScratch(s)
-	dist := s.Dist
-	nbuf := s.NeighborBuf(source.DegreeBound())
-	_, _, nbuf = topo.BFSSourceInto(source, src, dist, s.Queue, nbuf)
-	// Store the possibly-grown buffer back so its capacity is pooled for
-	// the next request (growth past the degree bound is theoretical, so
-	// skipping the store-back on error returns below costs nothing).
-	s.Nbuf = nbuf
-	if dist[dst] < 0 {
+	path, err := topo.ShortestPath(ctx, source, src, dst, s)
+	if errors.Is(err, topo.ErrNoPath) {
 		return nil, badRequest("no path from %d to %d (disconnected?)", src, dst)
 	}
-	path := make([]int, dist[dst]+1)
-	path[len(path)-1] = dst
-	cur := dst
-	for d := int(dist[dst]); d > 0; d-- {
-		if d&1023 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		found := false
-		nbuf = source.NeighborsInto(cur, nbuf)
-		//lint:ignore ctxflow scans one neighbor row, at most DegreeBound entries; the enclosing backtrack loop polls ctx every 1024 levels
-		for _, nb := range nbuf {
-			if int(dist[nb]) == d-1 {
-				cur = int(nb)
-				path[d-1] = cur
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("serve: BFS distance array inconsistent at node %d", cur)
-		}
-	}
-	s.Nbuf = nbuf
-	return path, nil
+	return path, err
 }
 
 // SimFaults echoes the fault scenario a degraded simulation ran under.

@@ -3,10 +3,16 @@ package serve
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"net/http"
+	"net/http/httptest"
+	"slices"
 	"testing"
+	"time"
 
+	"ipg/internal/graph"
 	"ipg/internal/topo"
 )
 
@@ -160,5 +166,189 @@ func TestRoutePathPins(t *testing.T) {
 				t.Errorf("%s: route digest %s, want %s", c.name, got, want)
 			}
 		})
+	}
+}
+
+// referenceRoute is the route shortestPath answered before the
+// bidirectional search, kept as the oracle: from dist, a full BFS of src,
+// walk back from dst, each step to the first neighbor in row order one
+// hop closer to src.  nil when dst is unreachable.
+func referenceRoute(s topo.Source, dist []int32, dst int) []int {
+	if dist[dst] < 0 {
+		return nil
+	}
+	path := make([]int, dist[dst]+1)
+	path[len(path)-1] = dst
+	var nbuf []int32
+	for d := len(path) - 1; d > 0; d-- {
+		nbuf = s.NeighborsInto(path[d], nbuf)
+		for _, v := range nbuf {
+			if int(dist[v]) == d-1 {
+				path[d-1] = int(v)
+				break
+			}
+		}
+	}
+	return path
+}
+
+// referenceCSR returns a's adjacency as a CSR: its arena, or its codec's
+// rows materialized in the same numbering, so the reference BFS of an
+// implicit case costs an arena sweep instead of a codec one.
+func referenceCSR(t *testing.T, a *Artifact) *topo.CSR {
+	t.Helper()
+	if a.Materialized() {
+		return a.U.CSR()
+	}
+	c, err := topo.Build(a.N, func(edge func(u, v int)) {
+		var buf []int32
+		for v := 0; v < a.N; v++ {
+			buf = a.Impl.NeighborsInto(v, buf)
+			for _, u := range buf {
+				edge(v, int(u))
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// checkAgainstReference compares shortestPath with referenceRoute on
+// pairs, running one reference BFS per distinct source.  An unreachable
+// pair must get the 400 "no path" answer.
+func checkAgainstReference(t *testing.T, a *Artifact, ref *topo.CSR, pairs [][2]int) {
+	t.Helper()
+	pairs = slices.Clone(pairs)
+	slices.SortStableFunc(pairs, func(x, y [2]int) int { return x[0] - y[0] })
+	ctx := context.Background()
+	dist := make([]int32, a.N)
+	queue := make([]int32, 0, a.N)
+	last := -1
+	for _, pr := range pairs {
+		src, dst := pr[0], pr[1]
+		if src != last {
+			topo.BFSSourceInto(ref, src, dist, queue, nil)
+			last = src
+		}
+		want := referenceRoute(ref, dist, dst)
+		got, err := shortestPath(ctx, a, src, dst)
+		if want == nil {
+			var he *httpError
+			wantMsg := fmt.Sprintf("no path from %d to %d (disconnected?)", src, dst)
+			if !errors.As(err, &he) || he.code != http.StatusBadRequest || he.msg != wantMsg || got != nil {
+				t.Fatalf("%s: %d -> %d = %v, %v; want a 400 %q", a.Name, src, dst, got, err, wantMsg)
+			}
+			continue
+		}
+		if err != nil || !slices.Equal(got, want) {
+			t.Fatalf("%s: %d -> %d = %v, %v; the reference walk gives %v", a.Name, src, dst, got, err, want)
+		}
+	}
+}
+
+// TestRouteMatchesReference compares shortestPath with the full-BFS walk
+// on every pinned pair, on src == dst, and on every pair of a
+// two-component artifact, where the unreachable pairs keep their 400.
+func TestRouteMatchesReference(t *testing.T) {
+	for _, c := range routeCases {
+		t.Run(c.name, func(t *testing.T) {
+			a := routeArtifact(t, c)
+			pairs := routePairs(t, c, a)
+			for v := 0; v < a.N; v += 1 + a.N/16 {
+				pairs = append(pairs, [2]int{v, v})
+			}
+			checkAgainstReference(t, a, referenceCSR(t, a), pairs)
+		})
+	}
+	t.Run("two components", func(t *testing.T) {
+		a := twoComponentArtifact()
+		var pairs [][2]int
+		for src := 0; src < a.N; src++ {
+			for dst := 0; dst < a.N; dst++ {
+				pairs = append(pairs, [2]int{src, dst})
+			}
+		}
+		checkAgainstReference(t, a, a.U.CSR(), pairs)
+	})
+}
+
+// twoComponentArtifact is two disjoint 4-cubes: vertices 0-15 and 16-31.
+func twoComponentArtifact() *Artifact {
+	g := graph.FromStream(32, func(edge func(u, v int)) {
+		for v := 0; v < 32; v++ {
+			for bit := 1; bit < 16; bit <<= 1 {
+				edge(v, v^bit)
+			}
+		}
+	})
+	return &Artifact{Name: "2xQ4", N: g.N(), U: g}
+}
+
+// TestRouteUnreachableOverHTTP: /v1/route between the components of a
+// disconnected network is a 400 naming both endpoints.
+func TestRouteUnreachableOverHTTP(t *testing.T) {
+	a := twoComponentArtifact()
+	srv := NewServer(Config{Workers: 2, Builder: func(context.Context, Params, int) (*Artifact, error) { return a, nil }})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	var body struct{ Error string }
+	resp := get(t, ts, "/v1/route?net=hypercube&dim=5&src=3&dst=20", &body)
+	if want := "no path from 3 to 20 (disconnected?)"; resp.StatusCode != http.StatusBadRequest || body.Error != want {
+		t.Fatalf("status %d, error %q; want 400 %q", resp.StatusCode, body.Error, want)
+	}
+	var route RouteResponse
+	if resp := get(t, ts, "/v1/route?net=hypercube&dim=5&src=17&dst=30", &route); resp.StatusCode != http.StatusOK || route.Hops != 4 {
+		t.Fatalf("route inside one component: status %d, %+v", resp.StatusCode, route)
+	}
+}
+
+// TestRouteCancelled: a route whose request is already cancelled or past
+// its deadline stops before the search's first level.  On the implicit
+// Q20 (2^20 nodes, a codec row per visited vertex) the earlier full BFS
+// ignored the context and answered after about 0.4 s.
+func TestRouteCancelled(t *testing.T) {
+	p, _, err := ParamsFromRawQuery("net=hypercube&dim=20")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := BuildArtifactThreshold(context.Background(), p, 0, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Rep() != RepImplicit {
+		t.Fatalf("Q20 representation %q, want implicit", a.Rep())
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if path, err := shortestPath(ctx, a, 0, a.N-1); !errors.Is(err, context.Canceled) || path != nil {
+		t.Fatalf("cancelled route = %d vertices, %v; want no path and context.Canceled", len(path), err)
+	}
+}
+
+// TestRouteCancelledStatus: the handler answers a cancelled route 499 and
+// a timed-out one 504, even on a cached CSR artifact that takes no slot.
+func TestRouteCancelledStatus(t *testing.T) {
+	const path = "/v1/route?net=hsn&l=3&nucleus=q4&src=0&dst=4095"
+	srv := NewServer(Config{Workers: 2})
+	prime := httptest.NewRecorder()
+	srv.ServeHTTP(prime, httptest.NewRequest(http.MethodGet, path, nil))
+	if prime.Code != http.StatusOK {
+		t.Fatalf("priming route: status %d", prime.Code)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil).WithContext(ctx))
+	if rec.Code != 499 {
+		t.Errorf("cancelled route: status %d, want 499", rec.Code)
+	}
+	ctx, cancel = context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	rec = httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil).WithContext(ctx))
+	if rec.Code != http.StatusGatewayTimeout {
+		t.Errorf("timed-out route: status %d, want 504", rec.Code)
 	}
 }

@@ -1,28 +1,30 @@
 package topo
 
-//lint:file-ignore ctxflow BFS kernels are deliberately ctx-free: one call is a single bounded traversal (or one 64-source batch), and callers (graph.Distances, fault.Analyze, serve) poll ctx between calls, keeping cancellation latency to one kernel invocation
+//lint:file-ignore ctxflow the sweep kernels are deliberately ctx-free: one call is a single bounded traversal (or one 64-source batch), and callers (graph.Distances, fault.Analyze) poll ctx between calls, keeping cancellation latency to one kernel invocation; ShortestPath, one call per request, polls ctx once per level
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/bits"
 )
 
-// This file holds the repository's two traversal kernels: a scalar BFS
-// and a bit-parallel 64-source BFS (MSBFS).  Every distance computation —
-// the graph metrics, the directed cluster quotient in internal/superipg,
-// the degraded-network sweep in internal/fault, serve's route
-// reconstruction — runs through one of them.
+// This file holds the repository's traversal kernels: a scalar BFS and a
+// bit-parallel 64-source BFS (MSBFS), through which every distance
+// computation runs (the graph metrics, the directed cluster quotient in
+// internal/superipg, the degraded-network sweep in internal/fault), and
+// ShortestPath, the bidirectional search behind serve's /v1/route.
 //
-// Both read rows from any Source.  A *CSR hands over its arena rows
+// All three read rows from any Source.  A *CSR hands over its arena rows
 // without copying; any other source (a codec-backed Implicit, a
 // fault.DegradedView) goes through NeighborsInto with a reused neighbor
 // buffer.  Since every Source emits the same canonical rows, a traversal
-// is bit-identical on either.  The scalar kernel picks the row reader per
-// vertex.  MSBFS scans far more rows per call, so its arena loops are
+// is bit-identical on either.  The scalar kernel and ShortestPath pick
+// the row reader per vertex.  MSBFS scans far more rows per call, so its arena loops are
 // written out in the kernel and NeighborsInto rows go through one helper
 // per level (a per-vertex branch, or arena helpers, cost 5-20% there).
 //
-// Both also take optional fault masks: a vertex bitset (one bit per
+// The two sweep kernels also take optional fault masks: a vertex bitset (one bit per
 // vertex) and an arc bitset (one bit per arena index, so it needs a
 // *CSR).  A masked traversal is the ordinary one on the induced alive
 // subgraph; nil masks hide nothing.  The arc loops keep a tight variant
@@ -114,6 +116,154 @@ func bfs(s Source, src int, vdead, adead []uint64, dist, queue, nbuf []int32) (e
 	}
 	//lint:ignore indextrunc len(queue) <= s.N() <= MaxVertices (math.MaxInt32)
 	return ecc, sum, int32(len(queue)), nbuf
+}
+
+// ErrNoPath is ShortestPath's answer when dst is not reachable from src.
+var ErrNoPath = errors.New("topo: no path")
+
+// meetLabel marks a vertex where the two balls of ShortestPath meet; it
+// is below every backward label -(j+1), j < MaxVertices.
+const meetLabel = math.MinInt32
+
+// ShortestPath returns one shortest path src -> dst over a symmetric
+// Source: exactly the path a full BFS from src followed by a walk back
+// from dst returns, where each step takes the first neighbor in row order
+// that is one hop closer to src.  It costs the two balls of a
+// bidirectional search instead of the whole graph, plus one O(N) label
+// reset.  sc must be sized for s.N() (GetScratch).
+//
+// The search grows a ball from src and one from dst, expanding the
+// smaller frontier one full level at a time, and checks ctx before each
+// level.  It stops after the first level at which the balls meet: with
+// radii a and b the distance is a+b, and the meeting layer M is every
+// vertex at distance a from src and b from dst.  sc.Dist holds one signed
+// label per vertex: 0 unseen, l+1 at forward level l, -(j+1) at backward
+// layer j, meetLabel on M.  The forward frontier grows at the front of
+// sc.Queue and the backward one at the back.
+//
+// The walk then decides each step of the full-BFS walk from these labels
+// alone.  Below M the forward labels are the BFS distances.  Nearer dst,
+// a layer-(j+1) neighbor of the layer-j vertex is one hop closer to src
+// exactly when it lies on a shortest path, that is, when it leads down
+// the backward layers to M.  A depth-first search from dst over rows in
+// order finds the first such neighbor at every step, and relabels 0 each
+// vertex it leaves without reaching M, so no later step tries it again:
+// every backward vertex is entered at most once.
+//
+// ctx errors are returned as is, and ErrNoPath when a ball runs out
+// before they meet.  Once sc.Nbuf holds a row, the returned path is the
+// only allocation.
+func ShortestPath(ctx context.Context, s Source, src, dst int, sc *Scratch) ([]int, error) {
+	if src == dst {
+		return []int{src}, nil
+	}
+	c := arenaOf(s, nil)
+	n := s.N()
+	dist, q := sc.Dist[:n], sc.Queue[:n]
+	nbuf := sc.NeighborBuf(s.DegreeBound())
+	defer func() { sc.Nbuf = nbuf }()
+	clear(dist)
+	dist[src], dist[dst] = 1, -1
+	//lint:ignore indextrunc src, dst < s.N() <= MaxVertices (math.MaxInt32)
+	q[0], q[n-1] = int32(src), int32(dst)
+	fLo, fHi, bLo, bHi := 0, 1, n-1, n // frontiers q[fLo:fHi] and q[bLo:bHi]
+	var a, b int32                     // radii of the two balls
+	var row []int32
+	for met := false; !met; {
+		if fLo == fHi || bLo == bHi {
+			return nil, ErrNoPath // one ball is a whole component
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		// Grow the ball with the smaller frontier by one level: unseen
+		// neighbors get label, and a neighbor carrying the other ball's
+		// frontier label joins M.
+		forward := fHi-fLo <= bHi-bLo
+		grow, label, other := q[fLo:fHi], a+2, -(b + 1)
+		if !forward {
+			grow, label, other = q[bLo:bHi], -(b + 2), a+1
+		}
+		lo, hi := fHi, bLo // the free queue space between the balls
+		for _, u := range grow {
+			row, nbuf = readRow(s, c, int(u), nbuf)
+			for _, v := range row {
+				switch dist[v] {
+				case 0:
+					dist[v] = label
+					if forward {
+						q[lo] = v
+						lo++
+					} else {
+						hi--
+						q[hi] = v
+					}
+				case other:
+					dist[v] = meetLabel
+					met = true
+				}
+			}
+		}
+		if forward {
+			a++
+			fLo, fHi = fHi, lo
+		} else {
+			b++
+			bLo, bHi = hi, bLo
+		}
+	}
+
+	// Walk back from dst: depth first down the backward layers to M, with
+	// p[b-k] the vertex at layer k and r[k] where its row scan resumes
+	// (the queue is free now), then down the forward labels to src.
+	path := make([]int, a+b+1)
+	p, r := path[a:], q[:b]
+	p[b] = dst
+	if b > 0 {
+		r[0] = 0
+	}
+	for k := int32(0); k < b; {
+		row, nbuf = readRow(s, c, p[b-k], nbuf)
+		want := -(k + 2)
+		if k+1 == b {
+			want = meetLabel
+		}
+		j := r[k]
+		for int(j) < len(row) && dist[row[j]] != want {
+			j++
+		}
+		if int(j) == len(row) {
+			dist[p[b-k]] = 0 // a dead end: no vertex of M below it
+			k--
+			continue
+		}
+		r[k] = j + 1
+		k++
+		p[b-k] = int(row[j])
+		if k < b {
+			r[k] = 0
+		}
+	}
+	for i := a; i > 0; i-- {
+		row, nbuf = readRow(s, c, path[i], nbuf)
+		for _, v := range row {
+			if dist[v] == i { // forward level i-1
+				path[i-1] = int(v)
+				break
+			}
+		}
+	}
+	return path, nil
+}
+
+// readRow returns u's neighbors: its arena row when c is s's CSR, else
+// NeighborsInto into nbuf, which it returns (possibly grown) as well.
+func readRow(s Source, c *CSR, u int, nbuf []int32) (row, _ []int32) {
+	if c != nil {
+		return c.arena[c.off[u]:c.off[u+1]], nbuf
+	}
+	nbuf = s.NeighborsInto(u, nbuf)
+	return nbuf, nbuf
 }
 
 // The MSBFS kernel advances up to 64 BFS traversals together, one uint64

@@ -5,7 +5,7 @@ import "sync"
 // Scratch bundles the per-worker traversal buffers every BFS consumer
 // needs — a distance vector, a queue, and (lazily) an MSBFS word-per-
 // vertex scratch — behind one sync.Pool, so serving-layer request paths
-// (/v1/route reconstruction, /v1/metrics builds) and the parallel metric
+// (/v1/route searches, /v1/metrics builds) and the parallel metric
 // workers allocate O(1) at steady state instead of O(N) per request.
 //
 // A Scratch is checked out with GetScratch(n) and must be returned with
@@ -13,10 +13,11 @@ import "sync"
 // are reused verbatim for any topology at most as large.
 type Scratch struct {
 	// Dist is a length-n distance vector (contents are garbage until a
-	// BFS overwrites them).
+	// BFS overwrites them); ShortestPath keeps its signed labels here.
 	Dist []int32
 	// Queue is an empty queue with capacity >= n, making BFSSourceInto
-	// allocation-free.
+	// allocation-free.  ShortestPath uses all n entries, one ball from
+	// each end.
 	Queue []int32
 
 	// Nbuf is a reusable neighbor-row buffer (see NeighborBuf).  Callers
