@@ -660,6 +660,78 @@ func BenchmarkNeighborGen(b *testing.B) {
 	}
 }
 
+// BenchmarkRouteBFS measures one /v1/route answer per op batch on the
+// codec sources of benchSources4096, two ways, over the same 64 seeded
+// (src, dst) pairs plus the antipodal pair (0, the lowest-numbered vertex
+// farthest from 0):
+//
+//   - walk: the full-BFS reference, a BFS from src then the walk back from
+//     dst to the first neighbor in row order one hop closer to src;
+//   - search: topo.ShortestPath, the bidirectional search that returns the
+//     same path.
+//
+// Both reuse their buffers across ops.  scripts/bench_compare.sh gates
+// the per-family ratio walk/search as route_speedup.
+func BenchmarkRouteBFS(b *testing.B) {
+	ctx := context.Background()
+	for _, f := range benchSources4096() {
+		s := f.impl
+		n := s.N()
+		dist := make([]int32, n)
+		queue := make([]int32, 0, n)
+		nbuf := make([]int32, 0, s.DegreeBound())
+		rng := rand.New(rand.NewSource(1))
+		pairs := make([][2]int, 64, 65)
+		for i := range pairs {
+			pairs[i] = [2]int{rng.Intn(n), rng.Intn(n)}
+		}
+		topo.BFSSourceInto(s, 0, dist, queue, nbuf)
+		far := 0
+		for v, d := range dist {
+			if d > dist[far] {
+				far = v
+			}
+		}
+		pairs = append(pairs, [2]int{0, far})
+		b.Run(f.name+"/walk", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, pr := range pairs {
+					nbuf = benchWalkRoute(s, pr[0], pr[1], dist, queue, nbuf)
+				}
+			}
+		})
+		b.Run(f.name+"/search", func(b *testing.B) {
+			sc := topo.GetScratch(n)
+			defer topo.PutScratch(sc)
+			for i := 0; i < b.N; i++ {
+				for _, pr := range pairs {
+					if _, err := topo.ShortestPath(ctx, s, pr[0], pr[1], sc); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// benchWalkRoute is BenchmarkRouteBFS's full-BFS reference route; it
+// returns the (possibly grown) neighbor buffer.
+func benchWalkRoute(s topo.Source, src, dst int, dist, queue, nbuf []int32) []int32 {
+	_, _, nbuf = topo.BFSSourceInto(s, src, dist, queue, nbuf)
+	path := make([]int, dist[dst]+1)
+	path[len(path)-1] = dst
+	for d := len(path) - 1; d > 0; d-- {
+		nbuf = s.NeighborsInto(path[d], nbuf)
+		for _, v := range nbuf {
+			if int(dist[v]) == d-1 {
+				path[d-1] = int(v)
+				break
+			}
+		}
+	}
+	return nbuf
+}
+
 // BenchmarkNetsimStepAllocs measures steady-state rounds of the packet
 // simulator under random uniform traffic on HSN(3,Q3); run with -benchmem
 // to see the per-round allocation budget the persistent phase and emit

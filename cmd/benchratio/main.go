@@ -1,21 +1,22 @@
 // Command benchratio turns `go test -bench` output for
-// BenchmarkAllSourcesBFS and BenchmarkNeighborGen into the
-// machine-independent ratios tracked in BENCH_PR4.json, and optionally
-// gates them against a checked-in baseline.
+// BenchmarkAllSourcesBFS, BenchmarkNeighborGen and BenchmarkRouteBFS into
+// the machine-independent ratios tracked in BENCH_PR4.json, and
+// optionally gates them against a checked-in baseline.
 //
 // Raw ns/op numbers vary by machine, so CI cannot compare them against a
 // committed file.  The *ratios* between kernels on the same machine and
 // graph — scalar/msbfs and scalar/symmetry for the BFS kernels,
-// implicit/csr for neighbor generation — measure the algorithmic
-// trade-off itself and are stable enough to gate on: a change that slows
-// the MSBFS kernel relative to the scalar one shrinks its speedup, and a
-// codec change that slows implicit rows relative to arena loads grows
-// the implicit cost factor, no matter the hardware.  Speedups are gated
-// as floors, the implicit cost factor as a ceiling.
+// implicit/csr for neighbor generation, walk/search for the route kernel
+// — measure the algorithmic trade-off itself and are stable enough to
+// gate on: a change that slows the MSBFS kernel relative to the scalar
+// one shrinks its speedup, and a codec change that slows implicit rows
+// relative to arena loads grows the implicit cost factor, no matter the
+// hardware.  Speedups are gated as floors, the implicit cost factor as a
+// ceiling.
 //
 // Usage:
 //
-//	go test -run=NONE -bench=AllSourcesBFS -benchtime=3x . | benchratio -out BENCH_PR4.json [-baseline scripts/bench_baseline_pr4.json]
+//	go test -run=NONE -bench='AllSourcesBFS|NeighborGen|RouteBFS' -benchtime=3x . | benchratio -out BENCH_PR4.json [-baseline scripts/bench_baseline_pr4.json]
 //
 // With -baseline the tool exits nonzero when any family's speedup falls
 // below the baseline's by more than the tolerance (default 15%).
@@ -49,6 +50,12 @@ type FamilyRatios struct {
 	CSRNs        float64 `json:"ngen_csr_ns,omitempty"`
 	ImplicitNs   float64 `json:"ngen_implicit_ns,omitempty"`
 	ImplicitCost float64 `json:"implicit_cost,omitempty"`
+	// RouteBFS samples: the full-BFS-then-walk route reference against
+	// the bidirectional search that returns the same path, both over the
+	// codec source.
+	RouteWalkNs   float64 `json:"route_walk_ns,omitempty"`
+	RouteSearchNs float64 `json:"route_search_ns,omitempty"`
+	RouteSpeedup  float64 `json:"route_speedup,omitempty"`
 }
 
 // Report is the top-level BENCH_PR4.json document.
@@ -78,6 +85,9 @@ func parseBench(r io.Reader) (map[string]map[string]float64, error) {
 		case strings.HasPrefix(name, "BenchmarkNeighborGen/"):
 			rest = strings.TrimPrefix(name, "BenchmarkNeighborGen/")
 			kernelPrefix = "ngen_"
+		case strings.HasPrefix(name, "BenchmarkRouteBFS/"):
+			rest = strings.TrimPrefix(name, "BenchmarkRouteBFS/")
+			kernelPrefix = "route_"
 		default:
 			continue
 		}
@@ -106,8 +116,8 @@ func parseBench(r io.Reader) (map[string]map[string]float64, error) {
 // buildReport derives speedup ratios from the parsed samples.
 func buildReport(samples map[string]map[string]float64) (*Report, error) {
 	rep := &Report{
-		Benchmark: "BenchmarkAllSourcesBFS+BenchmarkNeighborGen",
-		Note:      "speedup fields are scalar_ns/<kernel>_ns and implicit_cost is ngen_implicit_ns/ngen_csr_ns, all measured on one machine; the ratios are the gated quantities, raw ns fields are informational",
+		Benchmark: "BenchmarkAllSourcesBFS+BenchmarkNeighborGen+BenchmarkRouteBFS",
+		Note:      "speedup fields are scalar_ns/<kernel>_ns, implicit_cost is ngen_implicit_ns/ngen_csr_ns and route_speedup is route_walk_ns/route_search_ns, all measured on one machine; the ratios are the gated quantities, raw ns fields are informational",
 		Families:  make(map[string]FamilyRatios),
 	}
 	for family, kernels := range samples {
@@ -139,7 +149,17 @@ func buildReport(samples map[string]map[string]float64) (*Report, error) {
 			fr.ImplicitNs = impl
 			fr.ImplicitCost = round2(impl / csr)
 		}
-		if !hasBFS && !hasNgen {
+		walk, hasRoute := kernels["route_walk"]
+		if hasRoute {
+			search, ok := kernels["route_search"]
+			if !ok || walk <= 0 || search <= 0 {
+				return nil, fmt.Errorf("benchratio: family %s has incomplete RouteBFS samples", family)
+			}
+			fr.RouteWalkNs = walk
+			fr.RouteSearchNs = search
+			fr.RouteSpeedup = round2(walk / search)
+		}
+		if !hasBFS && !hasNgen && !hasRoute {
 			return nil, fmt.Errorf("benchratio: family %s has no usable samples", family)
 		}
 		rep.Families[family] = fr
@@ -188,6 +208,15 @@ func compare(rep, base *Report, tol float64) []string {
 				problems = append(problems, fmt.Sprintf(
 					"family %s implicit neighbor-gen cost %.2fx is above baseline %.2fx + %.0f%% = %.2fx",
 					name, cur.ImplicitCost, b.ImplicitCost, tol*100, ceil))
+			}
+		}
+		if b.RouteSpeedup > 0 {
+			if cur.RouteSpeedup == 0 {
+				problems = append(problems, fmt.Sprintf("family %s lost its RouteBFS benchmark", name))
+			} else if floor := b.RouteSpeedup * (1 - tol); cur.RouteSpeedup < floor {
+				problems = append(problems, fmt.Sprintf(
+					"family %s route speedup %.2fx is below baseline %.2fx - %.0f%% = %.2fx",
+					name, cur.RouteSpeedup, b.RouteSpeedup, tol*100, floor))
 			}
 		}
 		if b.SymmetrySpeed > 0 {

@@ -105,3 +105,47 @@ func TestCompareNewFamilyPasses(t *testing.T) {
 		t.Errorf("family absent from baseline must pass, got %v", problems)
 	}
 }
+
+const routeBench = `BenchmarkRouteBFS/Q12/walk-8      	       3	  40000000 ns/op
+BenchmarkRouteBFS/Q12/search-8    	       3	   4000000 ns/op
+BenchmarkRouteBFS/WBF9/walk-8     	       3	  14000000 ns/op
+BenchmarkRouteBFS/WBF9/search-8   	       3	    700000 ns/op
+`
+
+// TestRouteSpeedup: BenchmarkRouteBFS samples become walk/search ratios
+// next to a family's BFS ratios, and the gate floors them like the
+// MSBFS speedup.
+func TestRouteSpeedup(t *testing.T) {
+	samples, err := parseBench(strings.NewReader(sampleBench + routeBench))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := buildReport(samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q12, wbf := rep.Families["Q12"], rep.Families["WBF9"]
+	if q12.RouteSpeedup != 10 || q12.MSBFSSpeedup != 8 {
+		t.Errorf("Q12 route speedup %v, msbfs %v; want 10 and 8", q12.RouteSpeedup, q12.MSBFSSpeedup)
+	}
+	if wbf.RouteSpeedup != 20 || wbf.RouteWalkNs != 14e6 || wbf.RouteSearchNs != 7e5 {
+		t.Errorf("WBF9 route-only family = %+v, want speedup 20 from its two samples", wbf)
+	}
+	base, err := buildReport(samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow := rep.Families["Q12"]
+	slow.RouteSpeedup = 8.4 // 16% under the baseline's 10
+	rep.Families["Q12"] = slow
+	lost := rep.Families["WBF9"]
+	lost.RouteSpeedup = 0
+	rep.Families["WBF9"] = lost
+	problems := compare(rep, base, 0.15)
+	if len(problems) != 2 || !strings.Contains(problems[0], "Q12 route speedup") || !strings.Contains(problems[1], "WBF9 lost its RouteBFS") {
+		t.Errorf("want a Q12 route-speedup regression and a lost WBF9 benchmark, got %v", problems)
+	}
+	if _, err := buildReport(map[string]map[string]float64{"Q12": {"route_walk": 1}}); err == nil {
+		t.Error("a walk sample without its search sample must be rejected")
+	}
+}

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# bench_compare.sh: measure the all-sources BFS kernels and the
-# implicit-vs-CSR neighbor generation cost, and gate their ratios against
-# the checked-in baseline.
+# bench_compare.sh: measure the all-sources BFS kernels, the
+# implicit-vs-CSR neighbor generation cost and the route kernel, and gate
+# their ratios against the checked-in baseline.
 #
-# Runs BenchmarkAllSourcesBFS (scalar vs msbfs vs symmetry) and
-# BenchmarkNeighborGen (CSR arena rows vs rank/unrank codec rows), all
-# single threaded, converts the ns/op samples into per-family ratios with
+# Runs BenchmarkAllSourcesBFS (scalar vs msbfs vs symmetry),
+# BenchmarkNeighborGen (CSR arena rows vs rank/unrank codec rows) and
+# BenchmarkRouteBFS (full-BFS walk vs bidirectional search), all single
+# threaded, converts the ns/op samples into per-family ratios with
 # cmd/benchratio, writes them to BENCH_PR4.json, and fails when any
 # speedup drops more than 15% below — or any implicit cost factor rises
 # more than 15% above — scripts/bench_baseline_pr4.json.  Ratios, not raw
@@ -22,8 +23,8 @@ BENCHTIME="${BENCHTIME:-3x}"
 OUT="${BENCH_OUT:-BENCH_PR4.json}"
 BASELINE="${BENCH_BASELINE-scripts/bench_baseline_pr4.json}"
 
-echo "bench_compare: running BenchmarkAllSourcesBFS + BenchmarkNeighborGen (benchtime=$BENCHTIME)..." >&2
-raw="$(go test -run=NONE -bench='^(BenchmarkAllSourcesBFS|BenchmarkNeighborGen)$' -benchtime="$BENCHTIME" -cpu=1 .)"
+echo "bench_compare: running BenchmarkAllSourcesBFS + BenchmarkNeighborGen + BenchmarkRouteBFS (benchtime=$BENCHTIME)..." >&2
+raw="$(go test -run=NONE -bench='^(BenchmarkAllSourcesBFS|BenchmarkNeighborGen|BenchmarkRouteBFS)$' -benchtime="$BENCHTIME" -cpu=1 .)"
 
 args=(-out "$OUT")
 if [[ -n "$BASELINE" ]]; then
