@@ -217,11 +217,8 @@ func ShortestPath(ctx context.Context, s Source, src, dst int, sc *Scratch) ([]i
 	// p[b-k] the vertex at layer k and r[k] where its row scan resumes
 	// (the queue is free now), then down the forward labels to src.
 	path := make([]int, a+b+1)
-	p, r := path[a:], q[:b]
-	p[b] = dst
-	if b > 0 {
-		r[0] = 0
-	}
+	p, r := path[a:], q[:b+1]
+	p[b], r[0] = dst, 0
 	for k := int32(0); k < b; {
 		row, nbuf = readRow(s, c, p[b-k], nbuf)
 		want := -(k + 2)
@@ -239,10 +236,7 @@ func ShortestPath(ctx context.Context, s Source, src, dst int, sc *Scratch) ([]i
 		}
 		r[k] = j + 1
 		k++
-		p[b-k] = int(row[j])
-		if k < b {
-			r[k] = 0
-		}
+		p[b-k], r[k] = int(row[j]), 0
 	}
 	for i := a; i > 0; i-- {
 		row, nbuf = readRow(s, c, path[i], nbuf)
