@@ -660,10 +660,10 @@ func BenchmarkNeighborGen(b *testing.B) {
 	}
 }
 
-// BenchmarkRouteBFS measures one /v1/route answer per op batch on the
-// codec sources of benchSources4096, two ways, over the same 64 seeded
-// (src, dst) pairs plus the antipodal pair (0, the lowest-numbered vertex
-// farthest from 0):
+// BenchmarkRouteBFS times /v1/route's path computation on the codec
+// sources of benchSources4096, two ways.  One op routes the same 64
+// seeded (src, dst) pairs plus the antipodal pair (0, the lowest-numbered
+// vertex farthest from 0):
 //
 //   - walk: the full-BFS reference, a BFS from src then the walk back from
 //     dst to the first neighbor in row order one hop closer to src;

@@ -514,11 +514,13 @@ func (a *Artifact) routeLabel(v int) (string, error) {
 	return l.GroupedString(a.W.SymbolLen()), nil
 }
 
-// implicitSweepMax bounds the distance sweeps run over implicit
-// artifacts: the vertex-transitive families collapse to a single O(N)
-// BFS whose dist/queue scratch is transient, so 1<<24 vertices (~128 MiB
-// of scratch, freed after the sweep) is affordable per request while the
-// artifact itself stays O(1) resident.
+// implicitSweepMax bounds the traversals run over implicit artifacts.
+// The distance sweeps of the vertex-transitive families collapse to a
+// single O(N) BFS; a /v1/route search reads only its two balls but
+// resets an O(N) label array, and checks ctx before every level.  Both
+// use transient dist/queue scratch, so 1<<24 vertices (~128 MiB of
+// scratch, back in the pool after the request) is affordable per request
+// while the artifact itself stays O(1) resident.
 const implicitSweepMax = 1 << 24
 
 // sweepableImplicit reports whether the artifact's implicit source

@@ -451,7 +451,7 @@ func pathAlive(c *topo.CSR, set *fault.Set, path []int) bool {
 // codec.  The search checks ctx once per level, so a cancelled or
 // timed-out request frees its worker slot within one level.  Its labels,
 // queue and neighbor buffer come from the shared topo scratch pool, so
-// the only per-request allocation is the response path itself.
+// the search itself allocates only the response path.
 func shortestPath(ctx context.Context, a *Artifact, src, dst int) ([]int, error) {
 	source := a.Source()
 	s := topo.GetScratch(source.N())

@@ -147,20 +147,15 @@ var routePins = map[string]string{
 
 // TestRoutePathPins pins the exact vertices of /v1/route answers, not
 // just their endpoints and lengths: any route search must return the
-// same path, hop for hop, as the walk the pins were captured from.
+// same path, hop for hop, as the walk the pins were captured from.  Each
+// path is also compared with that walk, kept below as referenceRoute, so
+// a failure names the first pair that differs.
 func TestRoutePathPins(t *testing.T) {
-	ctx := context.Background()
 	for _, c := range routeCases {
 		t.Run(c.name, func(t *testing.T) {
 			a := routeArtifact(t, c)
 			h := fnv.New64a()
-			for _, pr := range routePairs(t, c, a) {
-				path, err := shortestPath(ctx, a, pr[0], pr[1])
-				if err != nil {
-					t.Fatalf("route %d -> %d: %v", pr[0], pr[1], err)
-				}
-				routeDigest(h, path)
-			}
+			checkAgainstReference(t, a, referenceCSR(t, a), routePairs(t, c, a), func(path []int) { routeDigest(h, path) })
 			got := fmt.Sprintf("%016x", h.Sum64())
 			if want := routePins[c.name]; got != want {
 				t.Errorf("%s: route digest %s, want %s", c.name, got, want)
@@ -216,12 +211,11 @@ func referenceCSR(t *testing.T, a *Artifact) *topo.CSR {
 }
 
 // checkAgainstReference compares shortestPath with referenceRoute on
-// pairs, running one reference BFS per distinct source.  An unreachable
-// pair must get the 400 "no path" answer.
-func checkAgainstReference(t *testing.T, a *Artifact, ref *topo.CSR, pairs [][2]int) {
+// pairs, in order, running the reference BFS once per run of pairs with
+// the same source, and hands each path to visit.  An unreachable pair
+// must get the 400 "no path" answer.
+func checkAgainstReference(t *testing.T, a *Artifact, ref *topo.CSR, pairs [][2]int, visit func(path []int)) {
 	t.Helper()
-	pairs = slices.Clone(pairs)
-	slices.SortStableFunc(pairs, func(x, y [2]int) int { return x[0] - y[0] })
 	ctx := context.Background()
 	dist := make([]int32, a.N)
 	queue := make([]int32, 0, a.N)
@@ -245,33 +239,22 @@ func checkAgainstReference(t *testing.T, a *Artifact, ref *topo.CSR, pairs [][2]
 		if err != nil || !slices.Equal(got, want) {
 			t.Fatalf("%s: %d -> %d = %v, %v; the reference walk gives %v", a.Name, src, dst, got, err, want)
 		}
+		visit(got)
 	}
 }
 
-// TestRouteMatchesReference compares shortestPath with the full-BFS walk
-// on every pinned pair, on src == dst, and on every pair of a
-// two-component artifact, where the unreachable pairs keep their 400.
-func TestRouteMatchesReference(t *testing.T) {
-	for _, c := range routeCases {
-		t.Run(c.name, func(t *testing.T) {
-			a := routeArtifact(t, c)
-			pairs := routePairs(t, c, a)
-			for v := 0; v < a.N; v += 1 + a.N/16 {
-				pairs = append(pairs, [2]int{v, v})
-			}
-			checkAgainstReference(t, a, referenceCSR(t, a), pairs)
-		})
-	}
-	t.Run("two components", func(t *testing.T) {
-		a := twoComponentArtifact()
-		var pairs [][2]int
-		for src := 0; src < a.N; src++ {
-			for dst := 0; dst < a.N; dst++ {
-				pairs = append(pairs, [2]int{src, dst})
-			}
+// TestRouteTwoComponents compares shortestPath with the reference walk on
+// every pair of a disconnected artifact, src == dst included: reachable
+// pairs get the walk's path, the others keep their 400.
+func TestRouteTwoComponents(t *testing.T) {
+	a := twoComponentArtifact()
+	var pairs [][2]int
+	for src := 0; src < a.N; src++ {
+		for dst := 0; dst < a.N; dst++ {
+			pairs = append(pairs, [2]int{src, dst})
 		}
-		checkAgainstReference(t, a, a.U.CSR(), pairs)
-	})
+	}
+	checkAgainstReference(t, a, a.U.CSR(), pairs, func([]int) {})
 }
 
 // twoComponentArtifact is two disjoint 4-cubes: vertices 0-15 and 16-31.
@@ -304,10 +287,10 @@ func TestRouteUnreachableOverHTTP(t *testing.T) {
 	}
 }
 
-// TestRouteCancelled: a route whose request is already cancelled or past
-// its deadline stops before the search's first level.  On the implicit
-// Q20 (2^20 nodes, a codec row per visited vertex) the earlier full BFS
-// ignored the context and answered after about 0.4 s.
+// TestRouteCancelled: a route whose context is already cancelled stops
+// before the search's first level, with context.Canceled and no path.
+// The implicit Q20 has 2^20 nodes, so a search that ignored the context
+// would keep its worker slot for about 0.4 s.
 func TestRouteCancelled(t *testing.T) {
 	p, _, err := ParamsFromRawQuery("net=hypercube&dim=20")
 	if err != nil {

@@ -20,16 +20,17 @@ import (
 // fault.DegradedView) goes through NeighborsInto with a reused neighbor
 // buffer.  Since every Source emits the same canonical rows, a traversal
 // is bit-identical on either.  The scalar kernel and ShortestPath pick
-// the row reader per vertex.  MSBFS scans far more rows per call, so its arena loops are
-// written out in the kernel and NeighborsInto rows go through one helper
-// per level (a per-vertex branch, or arena helpers, cost 5-20% there).
+// the row reader per vertex.  MSBFS scans far more rows per call, so its
+// arena loops are written out in the kernel and NeighborsInto rows go
+// through one helper per level (a per-vertex branch, or arena helpers,
+// cost 5-20% there).
 //
-// The two sweep kernels also take optional fault masks: a vertex bitset (one bit per
-// vertex) and an arc bitset (one bit per arena index, so it needs a
-// *CSR).  A masked traversal is the ordinary one on the induced alive
-// subgraph; nil masks hide nothing.  The arc loops keep a tight variant
-// for the unmasked case, because per-arc nil checks in the hot loop cost
-// 1.1-1.9x on the all-sources sweeps.
+// The two sweep kernels also take optional fault masks: a vertex bitset
+// (one bit per vertex) and an arc bitset (one bit per arena index, so it
+// needs a *CSR).  A masked traversal is the ordinary one on the induced
+// alive subgraph; nil masks hide nothing.  The arc loops keep a tight
+// variant for the unmasked case, because per-arc nil checks in the hot
+// loop cost 1.1-1.9x on the all-sources sweeps.
 
 // NewBitset returns a bitset able to hold n bits, all zero.
 func NewBitset(n int) []uint64 { return make([]uint64, (n+63)/64) }
@@ -251,8 +252,8 @@ func ShortestPath(ctx context.Context, s Source, src, dst int, sc *Scratch) ([]i
 }
 
 // readRow returns u's neighbors: its arena row when c is s's CSR, else
-// NeighborsInto into nbuf, which it returns (possibly grown) as well.
-func readRow(s Source, c *CSR, u int, nbuf []int32) (row, _ []int32) {
+// NeighborsInto into nbuf, which it returns (possibly grown) as buf.
+func readRow(s Source, c *CSR, u int, nbuf []int32) (row, buf []int32) {
 	if c != nil {
 		return c.arena[c.off[u]:c.off[u+1]], nbuf
 	}
