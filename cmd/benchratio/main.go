@@ -192,15 +192,20 @@ func compare(rep, base *Report, tol float64) []string {
 			problems = append(problems, fmt.Sprintf("family %s is in the baseline but was not measured", name))
 			continue
 		}
-		if b.MSBFSSpeedup > 0 {
-			if cur.MSBFSSpeedup == 0 {
-				problems = append(problems, fmt.Sprintf("family %s lost its msbfs benchmark", name))
-			} else if floor := b.MSBFSSpeedup * (1 - tol); cur.MSBFSSpeedup < floor {
+		// floor gates one speedup: a kernel absent from the baseline
+		// passes; one lost, or more than tol below the baseline, fails.
+		floor := func(kernel string, got, want float64) {
+			switch {
+			case want <= 0:
+			case got == 0:
+				problems = append(problems, fmt.Sprintf("family %s lost its %s benchmark", name, kernel))
+			case got < want*(1-tol):
 				problems = append(problems, fmt.Sprintf(
-					"family %s msbfs speedup %.2fx is below baseline %.2fx - %.0f%% = %.2fx",
-					name, cur.MSBFSSpeedup, b.MSBFSSpeedup, tol*100, floor))
+					"family %s %s speedup %.2fx is below baseline %.2fx - %.0f%% = %.2fx",
+					name, kernel, got, want, tol*100, want*(1-tol)))
 			}
 		}
+		floor("msbfs", cur.MSBFSSpeedup, b.MSBFSSpeedup)
 		if b.ImplicitCost > 0 {
 			if cur.ImplicitCost == 0 {
 				problems = append(problems, fmt.Sprintf("family %s lost its NeighborGen benchmark", name))
@@ -210,24 +215,8 @@ func compare(rep, base *Report, tol float64) []string {
 					name, cur.ImplicitCost, b.ImplicitCost, tol*100, ceil))
 			}
 		}
-		if b.RouteSpeedup > 0 {
-			if cur.RouteSpeedup == 0 {
-				problems = append(problems, fmt.Sprintf("family %s lost its RouteBFS benchmark", name))
-			} else if floor := b.RouteSpeedup * (1 - tol); cur.RouteSpeedup < floor {
-				problems = append(problems, fmt.Sprintf(
-					"family %s route speedup %.2fx is below baseline %.2fx - %.0f%% = %.2fx",
-					name, cur.RouteSpeedup, b.RouteSpeedup, tol*100, floor))
-			}
-		}
-		if b.SymmetrySpeed > 0 {
-			if cur.SymmetrySpeed == 0 {
-				problems = append(problems, fmt.Sprintf("family %s lost its symmetry benchmark", name))
-			} else if floor := b.SymmetrySpeed * (1 - tol); cur.SymmetrySpeed < floor {
-				problems = append(problems, fmt.Sprintf(
-					"family %s symmetry speedup %.0fx is below baseline %.0fx - %.0f%% = %.0fx",
-					name, cur.SymmetrySpeed, b.SymmetrySpeed, tol*100, floor))
-			}
-		}
+		floor("route", cur.RouteSpeedup, b.RouteSpeedup)
+		floor("symmetry", cur.SymmetrySpeed, b.SymmetrySpeed)
 	}
 	return problems
 }

@@ -142,7 +142,7 @@ func TestRouteSpeedup(t *testing.T) {
 	lost.RouteSpeedup = 0
 	rep.Families["WBF9"] = lost
 	problems := compare(rep, base, 0.15)
-	if len(problems) != 2 || !strings.Contains(problems[0], "Q12 route speedup") || !strings.Contains(problems[1], "WBF9 lost its RouteBFS") {
+	if len(problems) != 2 || !strings.Contains(problems[0], "Q12 route speedup") || !strings.Contains(problems[1], "WBF9 lost its route benchmark") {
 		t.Errorf("want a Q12 route-speedup regression and a lost WBF9 benchmark, got %v", problems)
 	}
 	if _, err := buildReport(map[string]map[string]float64{"Q12": {"route_walk": 1}}); err == nil {
