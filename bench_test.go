@@ -415,20 +415,22 @@ func BenchmarkBFSMemoryFootprint(b *testing.B) {
 }
 
 // benchFamilies4096 materializes the eight golden families at serving
-// scale (~4096 nodes) for the all-sources BFS benchmarks.
+// scale (~4096 nodes) for the all-sources BFS benchmarks.  The super
+// families come through their orbit-marked view, as ipgd builds them.
 func benchFamilies4096() []struct {
 	name string
 	g    *graph.Graph
 } {
 	q4 := func() *nucleus.Nucleus { return nucleus.Hypercube(4) }
+	view := func(w *superipg.Network) *graph.Graph { return w.Undirected(w.MustBuild()) }
 	return []struct {
 		name string
 		g    *graph.Graph
 	}{
-		{"HSN3Q4", superipg.HSN(3, q4()).MustBuild().Undirected()},
-		{"ringCN3Q4", superipg.RingCN(3, q4()).MustBuild().Undirected()},
-		{"completeCN3Q4", superipg.CompleteCN(3, q4()).MustBuild().Undirected()},
-		{"SFN3Q4", superipg.SFN(3, q4()).MustBuild().Undirected()},
+		{"HSN3Q4", view(superipg.HSN(3, q4()))},
+		{"ringCN3Q4", view(superipg.RingCN(3, q4()))},
+		{"completeCN3Q4", view(superipg.CompleteCN(3, q4()))},
+		{"SFN3Q4", view(superipg.SFN(3, q4()))},
 		{"Q12", topology.NewHypercube(12).G},
 		{"64ary2cube", topology.NewTorus(64, 2).G},
 		{"CCC9", topology.NewCCC(9).G},
@@ -442,6 +444,9 @@ func benchFamilies4096() []struct {
 //
 //   - scalar: one scalar BFS per source,
 //   - msbfs: 64-source batches through the bit-parallel kernel,
+//   - orbits: the msbfs batches over the orbit representatives only (one
+//     node per cluster), for the super families, where they already yield
+//     the exact diameter and average distance,
 //   - symmetry: a single source, valid only for the vertex-transitive
 //     families, where it already yields the exact diameter and average
 //     distance.
@@ -449,6 +454,19 @@ func benchFamilies4096() []struct {
 // scripts/bench_compare.sh turns these into the speedup ratios committed
 // in BENCH_PR4.json.
 func BenchmarkAllSourcesBFS(b *testing.B) {
+	// msbfsSweep runs the bit-parallel kernel over srcs in 64-source
+	// batches and returns the largest eccentricity.
+	msbfsSweep := func(c *topo.CSR, srcs []int32, s *topo.MSBFSScratch, ecc []int32, sum []int64) int32 {
+		var diam int32
+		for lo := 0; lo < len(srcs); lo += 64 {
+			batch := srcs[lo:min(lo+64, len(srcs))]
+			topo.MSBFSSourceInto(c, batch, s, ecc, sum, nil, nil)
+			for _, e := range ecc[:len(batch)] {
+				diam = max(diam, e)
+			}
+		}
+		return diam
+	}
 	for _, f := range benchFamilies4096() {
 		c := f.g.CSR()
 		n := c.N()
@@ -469,35 +487,27 @@ func BenchmarkAllSourcesBFS(b *testing.B) {
 				}
 			}
 		})
-		b.Run(f.name+"/msbfs", func(b *testing.B) {
-			s := topo.NewMSBFSScratch(n)
-			ecc := make([]int32, 64)
-			sum := make([]int64, 64)
-			srcs := make([]int32, 0, 64)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var diam int32
-				for lo := 0; lo < n; lo += 64 {
-					hi := lo + 64
-					if hi > n {
-						hi = n
+		all := make([]int32, n)
+		for v := range all {
+			all[v] = int32(v)
+		}
+		sweepOver := func(srcs []int32) func(b *testing.B) {
+			return func(b *testing.B) {
+				s := topo.NewMSBFSScratch(n)
+				ecc := make([]int32, 64)
+				sum := make([]int64, 64)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if msbfsSweep(c, srcs, s, ecc, sum) <= 0 {
+						b.Fatal("bad diameter")
 					}
-					srcs = srcs[:0]
-					for v := lo; v < hi; v++ {
-						srcs = append(srcs, int32(v))
-					}
-					topo.MSBFSSourceInto(c, srcs, s, ecc, sum, nil, nil)
-					for _, e := range ecc[:len(srcs)] {
-						if e > diam {
-							diam = e
-						}
-					}
-				}
-				if diam <= 0 {
-					b.Fatal("bad diameter")
 				}
 			}
-		})
+		}
+		b.Run(f.name+"/msbfs", sweepOver(all))
+		if reps := f.g.Orbits(); len(reps) > 1 {
+			b.Run(f.name+"/orbits", sweepOver(reps))
+		}
 		if !f.g.VertexTransitive() {
 			continue
 		}

@@ -6,13 +6,20 @@
 // Raw ns/op numbers vary by machine, so CI cannot compare them against a
 // committed file.  The *ratios* between kernels on the same machine and
 // graph — scalar/msbfs and scalar/symmetry for the BFS kernels,
-// implicit/csr for neighbor generation, walk/search for the route kernel
-// — measure the algorithmic trade-off itself and are stable enough to
-// gate on: a change that slows the MSBFS kernel relative to the scalar
-// one shrinks its speedup, and a codec change that slows implicit rows
-// relative to arena loads grows the implicit cost factor, no matter the
-// hardware.  Speedups are gated as floors, the implicit cost factor as a
-// ceiling.
+// msbfs/orbits for the orbit-reduced sweep, implicit/csr for neighbor
+// generation, walk/search for the route kernel — measure the algorithmic
+// trade-off itself and are stable enough to gate on: a change that slows
+// the MSBFS kernel relative to the scalar one shrinks its speedup, and a
+// codec change that slows implicit rows relative to arena loads grows the
+// implicit cost factor, no matter the hardware.  Speedups are gated as
+// floors, the implicit cost factor as a ceiling.
+//
+// The input may hold several passes of the suite (scripts/bench_compare.sh
+// runs five).  Sample i of every kernel then comes from pass i, and each
+// ratio is the median over passes of the pass's own ratio: a pass's two
+// kernels ran back to back on the same host state, so a slow spell on a
+// shared host moves both or neither, and the median drops a pass that a
+// spell split.
 //
 // Usage:
 //
@@ -43,6 +50,10 @@ type FamilyRatios struct {
 	MSBFSSpeedup  float64 `json:"msbfs_speedup,omitempty"`
 	SymmetryNs    float64 `json:"symmetry_ns,omitempty"`
 	SymmetrySpeed float64 `json:"symmetry_speedup,omitempty"`
+	// Orbits samples: the MSBFS sweep over one orbit representative per
+	// cluster of a super-IPG, against the MSBFS sweep over every node.
+	OrbitsNs     float64 `json:"orbits_ns,omitempty"`
+	OrbitSpeedup float64 `json:"orbit_speedup,omitempty"`
 	// NeighborGen samples: the cost factor of regenerating a neighbor
 	// row from the rank/unrank codec instead of loading a CSR arena row.
 	// Gated as a ceiling — implicit serving must not quietly get slower
@@ -65,12 +76,12 @@ type Report struct {
 	Families  map[string]FamilyRatios `json:"families"`
 }
 
-// parseBench extracts per-(family, kernel) ns/op from go-test bench
-// output lines of the form
+// parseBench extracts per-(family, kernel) ns/op samples, in input order,
+// from go-test bench output lines of the form
 //
 //	BenchmarkAllSourcesBFS/HSN3Q4/scalar-8  3  325575935 ns/op
-func parseBench(r io.Reader) (map[string]map[string]float64, error) {
-	out := make(map[string]map[string]float64)
+func parseBench(r io.Reader) (map[string]map[string][]float64, error) {
+	out := make(map[string]map[string][]float64)
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
@@ -102,64 +113,80 @@ func parseBench(r io.Reader) (map[string]map[string]float64, error) {
 			kernel = kernel[:i]
 		}
 		ns, err := strconv.ParseFloat(fields[2], 64)
-		if err != nil {
+		if err != nil || ns <= 0 {
 			return nil, fmt.Errorf("benchratio: bad ns/op %q in %q", fields[2], sc.Text())
 		}
 		if out[family] == nil {
-			out[family] = make(map[string]float64)
+			out[family] = make(map[string][]float64)
 		}
-		out[family][kernel] = ns
+		out[family][kernel] = append(out[family][kernel], ns)
 	}
 	return out, sc.Err()
 }
 
-// buildReport derives speedup ratios from the parsed samples.
-func buildReport(samples map[string]map[string]float64) (*Report, error) {
+// median returns the middle value of xs, or the mean of the two middle
+// ones, without reordering xs.
+func median(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	mid := len(s) / 2
+	if len(s)%2 == 1 {
+		return s[mid]
+	}
+	return (s[mid-1] + s[mid]) / 2
+}
+
+// pairedRatio is the median over passes of num[i]/den[i], rounded.
+func pairedRatio(num, den []float64) float64 {
+	rs := make([]float64, min(len(num), len(den)))
+	for i := range rs {
+		rs[i] = num[i] / den[i]
+	}
+	return round2(median(rs))
+}
+
+// buildReport derives the ratios from the parsed samples, pairing the
+// samples of one pass (see pairedRatio); the ns fields are each kernel's
+// median.
+func buildReport(samples map[string]map[string][]float64) (*Report, error) {
 	rep := &Report{
 		Benchmark: "BenchmarkAllSourcesBFS+BenchmarkNeighborGen+BenchmarkRouteBFS",
-		Note:      "speedup fields are scalar_ns/<kernel>_ns, implicit_cost is ngen_implicit_ns/ngen_csr_ns and route_speedup is route_walk_ns/route_search_ns, all measured on one machine; the ratios are the gated quantities, raw ns fields are informational",
+		Note:      "speedup fields are scalar_ns/<kernel>_ns, except orbit_speedup = msbfs_ns/orbits_ns; implicit_cost is ngen_implicit_ns/ngen_csr_ns and route_speedup is route_walk_ns/route_search_ns, all measured on one machine; each ratio is the median over the suite's passes of that pass's ratio, each ns field the median of its samples; the ratios are the gated quantities, raw ns fields are informational",
 		Families:  make(map[string]FamilyRatios),
 	}
-	for family, kernels := range samples {
+	for family, k := range samples {
 		var fr FamilyRatios
-		scalar, hasBFS := kernels["scalar"]
-		if hasBFS {
-			if scalar <= 0 {
-				return nil, fmt.Errorf("benchratio: family %s has a bad scalar sample", family)
-			}
-			msbfs, ok := kernels["msbfs"]
-			if !ok || msbfs <= 0 {
+		has := func(kernel string) bool { return len(k[kernel]) > 0 }
+		if has("scalar") {
+			if !has("msbfs") {
 				return nil, fmt.Errorf("benchratio: family %s has no msbfs sample", family)
 			}
-			fr.ScalarNs = scalar
-			fr.MSBFSNs = msbfs
-			fr.MSBFSSpeedup = round2(scalar / msbfs)
-			if sym, ok := kernels["symmetry"]; ok && sym > 0 {
-				fr.SymmetryNs = sym
-				fr.SymmetrySpeed = round2(scalar / sym)
+			fr.ScalarNs, fr.MSBFSNs = median(k["scalar"]), median(k["msbfs"])
+			fr.MSBFSSpeedup = pairedRatio(k["scalar"], k["msbfs"])
+			if has("symmetry") {
+				fr.SymmetryNs = median(k["symmetry"])
+				fr.SymmetrySpeed = pairedRatio(k["scalar"], k["symmetry"])
+			}
+			if has("orbits") {
+				fr.OrbitsNs = median(k["orbits"])
+				fr.OrbitSpeedup = pairedRatio(k["msbfs"], k["orbits"])
 			}
 		}
-		csr, hasNgen := kernels["ngen_csr"]
-		if hasNgen {
-			impl, ok := kernels["ngen_implicit"]
-			if !ok || csr <= 0 || impl <= 0 {
+		if has("ngen_csr") {
+			if !has("ngen_implicit") {
 				return nil, fmt.Errorf("benchratio: family %s has incomplete NeighborGen samples", family)
 			}
-			fr.CSRNs = csr
-			fr.ImplicitNs = impl
-			fr.ImplicitCost = round2(impl / csr)
+			fr.CSRNs, fr.ImplicitNs = median(k["ngen_csr"]), median(k["ngen_implicit"])
+			fr.ImplicitCost = pairedRatio(k["ngen_implicit"], k["ngen_csr"])
 		}
-		walk, hasRoute := kernels["route_walk"]
-		if hasRoute {
-			search, ok := kernels["route_search"]
-			if !ok || walk <= 0 || search <= 0 {
+		if has("route_walk") {
+			if !has("route_search") {
 				return nil, fmt.Errorf("benchratio: family %s has incomplete RouteBFS samples", family)
 			}
-			fr.RouteWalkNs = walk
-			fr.RouteSearchNs = search
-			fr.RouteSpeedup = round2(walk / search)
+			fr.RouteWalkNs, fr.RouteSearchNs = median(k["route_walk"]), median(k["route_search"])
+			fr.RouteSpeedup = pairedRatio(k["route_walk"], k["route_search"])
 		}
-		if !hasBFS && !hasNgen && !hasRoute {
+		if !has("scalar") && !has("ngen_csr") && !has("route_walk") {
 			return nil, fmt.Errorf("benchratio: family %s has no usable samples", family)
 		}
 		rep.Families[family] = fr
@@ -217,6 +244,7 @@ func compare(rep, base *Report, tol float64) []string {
 		}
 		floor("route", cur.RouteSpeedup, b.RouteSpeedup)
 		floor("symmetry", cur.SymmetrySpeed, b.SymmetrySpeed)
+		floor("orbit", cur.OrbitSpeedup, b.OrbitSpeedup)
 	}
 	return problems
 }

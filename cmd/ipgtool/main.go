@@ -198,7 +198,7 @@ func runSuperIPG(family string, l int, nucName string, sched, diameter bool, dot
 	if w.N() <= materializeCap {
 		g, err := w.Build()
 		fail(err)
-		u := g.Undirected()
+		u := w.Undirected(g)
 		min, max, avg := u.DegreeStats()
 		fmt.Printf("materialized: %d nodes, %d links, degree min/avg/max = %d/%.2f/%d\n",
 			g.N(), u.M(), min, avg, max)

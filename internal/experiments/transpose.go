@@ -152,7 +152,7 @@ func runIICost(scale Scale) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	addRow(w.Name(), cH, diameter(g.Undirected()), true, false)
+	addRow(w.Name(), cH, diameter(w.Undirected(g)), true, false)
 
 	// Hypercube with matching chips.
 	h := topology.NewHypercube(3 * k)

@@ -35,23 +35,56 @@ type Graph struct {
 	eu, ev []int32
 	eset   map[uint64]struct{}
 
-	// vt records that the construction proved vertex-transitivity (see
-	// MarkVertexTransitive); any mutation clears it.
-	vt bool
+	// reps lists one vertex per orbit of an automorphism group the
+	// construction proved (see MarkOrbits); nil when none was proven.  Any
+	// mutation clears it.
+	reps []int32
+}
+
+// MarkOrbits records orbit representatives proven by the graph's
+// construction: an automorphism group splits the vertices into
+// len(reps) orbits of n/len(reps) vertices each, and reps holds one
+// vertex of every orbit.  Automorphisms preserve distances, so every
+// vertex has the eccentricity and distance sum of its orbit's
+// representative, and Distances sweeps only reps.  Only builders whose
+// construction proves such a group may call this: the super-IPG builder
+// (superipg.Network.Undirected) marks one node per cluster, and
+// MarkVertexTransitive is the one-orbit case.  AddEdge clears the mark.
+// MarkOrbits panics if len(reps) does not divide n or an id is out of
+// range; the slice is retained and must not be modified.
+func (g *Graph) MarkOrbits(reps []int32) {
+	if len(reps) == 0 || g.n%len(reps) != 0 {
+		panic(fmt.Sprintf("graph.MarkOrbits: %d representatives do not split %d vertices into equal orbits", len(reps), g.n))
+	}
+	//lint:ignore ctxflow one range check per representative, once per marked graph; the builder that found them already paid a pass over every label
+	for _, r := range reps {
+		if r < 0 || int(r) >= g.n {
+			panic(fmt.Sprintf("graph.MarkOrbits: representative %d out of range (n=%d)", r, g.n))
+		}
+	}
+	g.reps = reps
 }
 
 // MarkVertexTransitive records that the graph is vertex-transitive — its
 // automorphism group acts transitively on vertices, so every vertex has
-// the same eccentricity and distance multiset.  Only family builders whose
-// construction proves transitivity (the Cayley families: hypercubes, tori,
-// generalized hypercubes, CCC, wrapped butterflies, and their Cartesian
-// products) may call this; Distances then collapses the all-sources sweep
-// to a single BFS.  AddEdge clears the mark.
-func (g *Graph) MarkVertexTransitive() { g.vt = true }
+// the same eccentricity and distance multiset: one orbit, represented by
+// vertex 0.  Only family builders whose construction proves transitivity
+// (the Cayley families: hypercubes, tori, generalized hypercubes, CCC,
+// wrapped butterflies, and their Cartesian products) may call this;
+// Distances then collapses the all-sources sweep to a single BFS.
+func (g *Graph) MarkVertexTransitive() { g.reps = oneOrbit }
 
-// VertexTransitive reports whether the graph was marked vertex-transitive
-// by its builder (the topo.Symmetric capability).
-func (g *Graph) VertexTransitive() bool { return g.vt }
+// oneOrbit is the representative list of a vertex-transitive graph.
+var oneOrbit = []int32{0}
+
+// VertexTransitive reports whether the graph was marked with a single
+// orbit (the topo.Symmetric capability).
+func (g *Graph) VertexTransitive() bool { return len(g.reps) == 1 }
+
+// Orbits returns the orbit representatives recorded by MarkOrbits, or
+// nil if the graph is unmarked.  The slice is shared and must not be
+// modified.
+func (g *Graph) Orbits() []int32 { return g.reps }
 
 // MaxVertices is the largest vertex count the int32 adjacency storage can
 // address.  Super-IPG configurations beyond this must be sharded before
@@ -187,7 +220,7 @@ func (g *Graph) AddEdge(u, v int) bool {
 	g.ev = append(g.ev, int32(v))
 	g.m++
 	g.csr = nil  // invalidate the finalized view
-	g.vt = false // transitivity was proven for the unmutated construction
+	g.reps = nil // the orbits were proven for the unmutated construction
 	return true
 }
 
@@ -362,7 +395,7 @@ func CartesianProduct(g, h *Graph) *Graph {
 	})
 	// The product of vertex-transitive graphs is vertex-transitive: the
 	// automorphism groups act independently on the coordinates.
-	if g.vt && h.vt {
+	if g.VertexTransitive() && h.VertexTransitive() {
 		out.MarkVertexTransitive()
 	}
 	return out

@@ -54,12 +54,31 @@ type Nucleus struct {
 
 	// Optional closed-form rank/unrank for nuclei without dimension
 	// structure whose node set has an arithmetic description (ring
-	// rotations, star-graph Lehmer codes).  Consulted by AddressOf/LabelOf
-	// before the enumeration fallback, so these nuclei stay addressable
-	// without materializing their label set.
+	// rotations, star-graph Lehmer codes).  Consulted by AddressOf and
+	// AppendLabel before the enumeration fallback, so these nuclei stay
+	// addressable without materializing their label set.  unrankFn
+	// appends the label to dst.
 	rankFn   func(perm.Label) (int, error)
-	unrankFn func(int) (perm.Label, error)
+	unrankFn func(dst perm.Label, addr int) (perm.Label, error)
+
+	// vt records that the constructor proved VertexTransitive.
+	vt bool
 }
+
+// VertexTransitive reports whether the construction proves a group of
+// maps on the nucleus labels that commute with every generator
+// (sigma(x*g) = sigma(x)*g) and act regularly on the nodes: exactly one
+// map carries any node to any other.  The Cayley constructors prove it:
+// the hypercube, folded hypercube, complete graph, ring and generalized
+// hypercube generate abelian groups that act on their labels regularly,
+// so the group itself qualifies, and the star graph's labels are every
+// arrangement of distinct symbols, so renaming symbols qualifies.  A
+// Product has it when both factors do; a super-IPG reused as a nucleus
+// (AsNucleus) does not.  Such a map applied to every group of a
+// super-IPG label at once is an automorphism of the super-IPG, which is
+// what lets its distance sweep visit one node per cluster (see
+// superipg.Network.Undirected).
+func (nu *Nucleus) VertexTransitive() bool { return nu.vt }
 
 // Addressable reports whether AddressOf/LabelOf form a bijection between
 // [0, M) and the nucleus node set — true for dimensionable nuclei, for
@@ -164,28 +183,39 @@ func (nu *Nucleus) digitOf(l perm.Label, d *Dim) (int, error) {
 // LabelOf encodes a mixed-radix address as a nucleus label (inverse of
 // AddressOf).
 func (nu *Nucleus) LabelOf(addr int) (perm.Label, error) {
+	l, err := nu.AppendLabel(make(perm.Label, 0, len(nu.Seed)), addr)
+	if err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// AppendLabel appends the label of address addr to dst and returns the
+// extended slice: LabelOf without the allocation when dst has room, which
+// the implicit super-IPG rows rely on (one call per group per row).
+func (nu *Nucleus) AppendLabel(dst perm.Label, addr int) (perm.Label, error) {
 	if addr < 0 || addr >= nu.M {
-		return nil, fmt.Errorf("nucleus %s: address %d out of range [0,%d)", nu.Name, addr, nu.M)
+		return dst, fmt.Errorf("nucleus %s: address %d out of range [0,%d)", nu.Name, addr, nu.M)
 	}
 	if len(nu.Dims) == 0 && nu.unrankFn != nil {
-		return nu.unrankFn(addr)
+		return nu.unrankFn(dst, addr)
 	}
 	if len(nu.Dims) == 0 && nu.enumLabels != nil {
-		return nu.enumLabels[addr].Clone(), nil
+		return append(dst, nu.enumLabels[addr]...), nil
 	}
-	l := nu.Seed.Clone()
+	base := len(dst)
+	dst = append(dst, nu.Seed...)
+	l := dst[base:]
 	for di := range nu.Dims {
 		d := &nu.Dims[di]
 		digit := addr % d.Radix
 		addr /= d.Radix
 		// Rotate the block left by digit positions.
-		block := make(perm.Label, d.symbols)
 		for k := 0; k < d.symbols; k++ {
-			block[k] = nu.Seed[d.offset+(k+digit)%d.symbols]
+			l[d.offset+k] = nu.Seed[d.offset+(k+digit)%d.symbols]
 		}
-		copy(l[d.offset:d.offset+d.symbols], block)
 	}
-	return l, nil
+	return dst, nil
 }
 
 // DimGenerator returns the generator index that, applied at a node with the
@@ -230,6 +260,7 @@ func Hypercube(k int) *Nucleus {
 		Gens: gens,
 		M:    1 << k,
 		Dims: dims,
+		vt:   true,
 	}
 }
 
@@ -271,6 +302,7 @@ func Complete(m int) *Nucleus {
 		Gens: gens,
 		M:    m,
 		Dims: []Dim{{Radix: m, GenIdx: genIdx, offset: 0, symbols: m}},
+		vt:   true,
 	}
 }
 
@@ -288,7 +320,7 @@ func Ring(m int) *Nucleus {
 		perm.Gen("r+1", perm.RotateLeft(m, 1)),
 		perm.Gen("r-1", perm.RotateRight(m, 1)),
 	}
-	nu := &Nucleus{Name: fmt.Sprintf("C%d", m), Seed: seed, Gens: gens, M: m}
+	nu := &Nucleus{Name: fmt.Sprintf("C%d", m), Seed: seed, Gens: gens, M: m, vt: true}
 	// The m nodes are the m left-rotations of 0..m-1, so a label's address
 	// is its rotation offset — the symbol at position 0.  The closed-form
 	// rank keeps rings addressable without enumeration, which the implicit
@@ -305,12 +337,11 @@ func Ring(m int) *Nucleus {
 		}
 		return r, nil
 	}
-	nu.unrankFn = func(addr int) (perm.Label, error) {
-		l := make(perm.Label, m)
-		for k := range l {
-			l[k] = byte((k + addr) % m)
+	nu.unrankFn = func(dst perm.Label, addr int) (perm.Label, error) {
+		for k := 0; k < m; k++ {
+			dst = append(dst, byte((k+addr)%m))
 		}
-		return l, nil
+		return dst, nil
 	}
 	return nu
 }
@@ -360,7 +391,7 @@ func GeneralizedHypercube(radices ...int) *Nucleus {
 		name += fmt.Sprintf("%d", m)
 	}
 	name += ")"
-	return &Nucleus{Name: name, Seed: seed, Gens: gens, M: M, Dims: dims}
+	return &Nucleus{Name: name, Seed: seed, Gens: gens, M: M, Dims: dims, vt: true}
 }
 
 // Star returns the star graph S_n (Akers & Krishnamurthy): seed 12...n with
@@ -380,7 +411,7 @@ func Star(n int) *Nucleus {
 		gens = append(gens, perm.Gen(fmt.Sprintf("t%d", i), perm.Transposition(n, 0, i-1)))
 		M *= i
 	}
-	nu := &Nucleus{Name: fmt.Sprintf("S%d", n), Seed: seed, Gens: gens, M: M}
+	nu := &Nucleus{Name: fmt.Sprintf("S%d", n), Seed: seed, Gens: gens, M: M, vt: true}
 	// Star-graph nodes are all n! arrangements of the distinct seed
 	// symbols, so the Lehmer-code label codec ranks them in lexicographic
 	// order: address 0 is the seed 12...n, address n!-1 its reversal.
@@ -395,8 +426,14 @@ func Star(n int) *Nucleus {
 		}
 		return int(r), nil
 	}
-	nu.unrankFn = func(addr int) (perm.Label, error) {
-		return codec.Unrank(int64(addr))
+	nu.unrankFn = func(dst perm.Label, addr int) (perm.Label, error) {
+		// UnrankInto writes into the spare capacity after dst, so the
+		// append below is a copy in place when dst has room.
+		tail, err := codec.UnrankInto(int64(addr), dst[len(dst):])
+		if err != nil {
+			return dst, err
+		}
+		return append(dst, tail...), nil
 	}
 	return nu
 }

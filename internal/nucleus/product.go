@@ -54,6 +54,9 @@ func Product(a, b *Nucleus) *Nucleus {
 		Gens: gens,
 		M:    a.M * b.M,
 		Dims: dims,
+		// The factors' label maps act on disjoint label halves, so the
+		// product of two transitive generator-commuting groups is one.
+		vt: a.vt && b.vt,
 	}
 }
 

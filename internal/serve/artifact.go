@@ -207,9 +207,11 @@ func buildSuper(ctx context.Context, p Params, maxNodes, implicitOver int) (*Art
 		return nil, err
 	}
 	a.G = g
-	a.U = g.Undirected()
+	a.U = w.Undirected(g)
 	a.Representation = RepCSR
-	a.bytes = g.MemoryFootprint() + a.U.MemoryFootprint()
+	// The orbit representatives the diameter sweep reads stay resident
+	// with the graph: 4 bytes per cluster.
+	a.bytes = g.MemoryFootprint() + a.U.MemoryFootprint() + 4*int64(len(a.U.Orbits()))
 	return a, nil
 }
 
@@ -533,8 +535,10 @@ func (a *Artifact) sweepableImplicit() bool {
 // Diameter returns the exact graph diameter, computing it at most once
 // per artifact under the caller's deadline.  A cancelled computation is
 // not memoized, so a later request with a longer deadline can succeed.
-// Materialized artifacts sweep the CSR; implicit vertex-transitive ones
-// collapse to a single codec-driven BFS (under implicitSweepMax).
+// Materialized artifacts sweep the CSR from U's orbit representatives
+// (one node per cluster for super-IPGs over a vertex-transitive nucleus,
+// one node for vertex-transitive baselines); implicit vertex-transitive
+// ones collapse to a single codec-driven BFS (under implicitSweepMax).
 func (a *Artifact) Diameter(ctx context.Context) (int, error) {
 	if !a.Materialized() && !a.sweepableImplicit() {
 		return 0, fmt.Errorf("serve: %s has no representation that supports an exact diameter", a.Name)

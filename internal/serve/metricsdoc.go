@@ -35,8 +35,11 @@ type MetricsDoc struct {
 	MCMP      *MCMPMetrics      `json:"mcmp,omitempty"`
 	Implicit  *ImplicitMetrics  `json:"implicit,omitempty"`
 
-	// Diameter is the exact graph diameter, present only when requested
-	// (it is an all-pairs BFS and therefore the one optional slow field).
+	// Diameter is the exact graph diameter, present only when requested:
+	// it is the one optional field with a distance sweep behind it (one
+	// BFS for vertex-transitive families, one source per cluster for
+	// super-IPGs over a vertex-transitive nucleus, every source
+	// otherwise), memoized per artifact.
 	Diameter *int `json:"diameter,omitempty"`
 
 	// Degraded is the survivability block, present only when the request
@@ -142,8 +145,8 @@ const maxArrangementL = 8
 // ComputeMetrics assembles the metrics document for a built artifact.
 // The expensive pieces (quotient BFS, arrangement BFS) are memoized on
 // the artifact, so repeated metric requests against a cached artifact
-// are pure reads.  withDiameter additionally runs the all-pairs BFS
-// under ctx.
+// are pure reads.  withDiameter additionally runs the diameter sweep
+// (Artifact.Diameter) under ctx.
 func ComputeMetrics(ctx context.Context, a *Artifact, withDiameter bool) (*MetricsDoc, error) {
 	doc := &MetricsDoc{
 		Network:        a.Name,

@@ -64,10 +64,11 @@ func (c *superCodec) N() int { return c.n }
 
 func (c *superCodec) DegreeBound() int { return len(c.w.gens) }
 
-// VertexTransitive is conservatively false: super-IPG labels repeat
-// symbols, so vertex transitivity is not a proven property of the
-// construction, matching the materialized path (Undirected never marks
-// supers transitive).
+// VertexTransitive is false: a super-IPG is not vertex-transitive in
+// general, and the materialized path marks only its orbits (one node per
+// cluster, see Network.Undirected), never a single one.  The codec does
+// not carry those orbits: implicit super-IPG artifacts report no
+// distance metrics.
 func (c *superCodec) VertexTransitive() bool { return false }
 
 func (c *superCodec) AppendNeighbors(v int, buf []int32) []int32 {
@@ -90,15 +91,16 @@ func (c *superCodec) AppendNeighbors(v int, buf []int32) []int32 {
 }
 
 // labelInto is LabelOf into reused scratch: the label of address addr
-// appended to dst[:0].
+// appended to dst[:0], without allocating once dst has grown to the
+// label length.
 func (c *superCodec) labelInto(addr int, dst perm.Label) perm.Label {
 	dst = dst[:0]
 	for i := 0; i < c.w.L; i++ {
-		g, err := c.w.Nuc.LabelOf(addr % c.w.Nuc.M)
+		var err error
+		dst, err = c.w.Nuc.AppendLabel(dst, addr%c.w.Nuc.M)
 		if err != nil {
 			panic(fmt.Sprintf("superipg: %s: address %d unrankable: %v", c.w.Name(), addr, err))
 		}
-		dst = append(dst, g...)
 		addr /= c.w.Nuc.M
 	}
 	return dst

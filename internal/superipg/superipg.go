@@ -18,6 +18,7 @@ package superipg
 //lint:file-ignore ctxflow intercluster scans are one O(N+M) pass per memoized metrics build, bounded by ipg.MaxNodes; the diameter entry points poll ctx between BFS batches
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 
@@ -252,6 +253,36 @@ func (w *Network) Build() (*ipg.Graph, error) {
 		return nil, fmt.Errorf("superipg: %s materialized %d nodes, want %d", w.Name(), g.N(), w.N())
 	}
 	return g, nil
+}
+
+// Undirected returns the undirected graph of g, a materialization of w
+// (w.Build), marked with one orbit representative per cluster when the
+// nucleus is vertex-transitive.  Applying one generator-commuting nucleus
+// map (nucleus.Nucleus.VertexTransitive) to every group of a label at
+// once commutes with the lifted nucleus generators, which act on the
+// first group alone, and with every super-generator, which moves whole
+// groups rigidly (perm.GroupAction); so it is an automorphism.  The maps
+// act regularly, so every orbit has M nodes and exactly one of them has
+// the nucleus seed as its first group.  Those nodes, one per cluster,
+// N/M in all, are the representatives graph.Distances sweeps.  ipg.Build
+// numbers nodes in BFS order, so they are found by their labels, not by
+// arithmetic on ids.  Without a vertex-transitive nucleus the graph is
+// unmarked.
+func (w *Network) Undirected(g *ipg.Graph) *graph.Graph {
+	u := g.Undirected()
+	if !w.Nuc.VertexTransitive() {
+		return u
+	}
+	m := w.SymbolLen()
+	reps := make([]int32, 0, g.N()/w.Nuc.M)
+	for v := 0; v < g.N(); v++ {
+		if bytes.Equal(g.Label(v)[:m], w.Nuc.Seed) {
+			//lint:ignore indextrunc node ids are < g.N() <= ipg.MaxNodes (1<<22)
+			reps = append(reps, int32(v))
+		}
+	}
+	u.MarkOrbits(reps)
+	return u
 }
 
 // MustBuild is Build that panics on error.

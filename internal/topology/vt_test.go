@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"ipg/internal/graph"
+	"ipg/internal/nucleus"
+	"ipg/internal/superipg"
 	"ipg/internal/topo"
 )
 
@@ -70,7 +72,8 @@ func TestNonTransitiveFamiliesUnmarked(t *testing.T) {
 
 // TestAddEdgeClearsTransitivity pins the invalidation rule: mutating a
 // marked graph must drop the mark, or the shortcut would silently report
-// stale metrics.
+// stale metrics.  It covers both marks: a vertex-transitive family and a
+// super-IPG view marked with one orbit representative per cluster.
 func TestAddEdgeClearsTransitivity(t *testing.T) {
 	h := NewHypercube(3)
 	if !h.G.VertexTransitive() {
@@ -82,5 +85,26 @@ func TestAddEdgeClearsTransitivity(t *testing.T) {
 	}
 	if got, _, _ := graph.Distances(context.Background(), h.G); got != h.G.Diameter() {
 		t.Errorf("after mutation: parallel diameter = %d, serial = %d", got, h.G.Diameter())
+	}
+
+	w := superipg.HSN(3, nucleus.Hypercube(2))
+	u := w.Undirected(w.MustBuild())
+	if len(u.Orbits()) != 16 || u.VertexTransitive() {
+		t.Fatalf("HSN(3,Q2) view: %d representatives, vertex-transitive %v; want 16, false", len(u.Orbits()), u.VertexTransitive())
+	}
+	v := 1
+	for u.HasEdge(0, v) {
+		v++
+	}
+	u.AddEdge(0, v)
+	if u.Orbits() != nil {
+		t.Error("orbit mark survived AddEdge")
+	}
+	d, avg, err := graph.Distances(context.Background(), u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d != u.Diameter() || avg != u.AverageDistance() {
+		t.Errorf("after mutation: parallel (%d, %v), serial (%d, %v)", d, avg, u.Diameter(), u.AverageDistance())
 	}
 }
