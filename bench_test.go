@@ -454,19 +454,6 @@ func benchFamilies4096() []struct {
 // scripts/bench_compare.sh turns these into the speedup ratios committed
 // in BENCH_PR4.json.
 func BenchmarkAllSourcesBFS(b *testing.B) {
-	// msbfsSweep runs the bit-parallel kernel over srcs in 64-source
-	// batches and returns the largest eccentricity.
-	msbfsSweep := func(c *topo.CSR, srcs []int32, s *topo.MSBFSScratch, ecc []int32, sum []int64) int32 {
-		var diam int32
-		for lo := 0; lo < len(srcs); lo += 64 {
-			batch := srcs[lo:min(lo+64, len(srcs))]
-			topo.MSBFSSourceInto(c, batch, s, ecc, sum, nil, nil)
-			for _, e := range ecc[:len(batch)] {
-				diam = max(diam, e)
-			}
-		}
-		return diam
-	}
 	for _, f := range benchFamilies4096() {
 		c := f.g.CSR()
 		n := c.N()
@@ -491,6 +478,8 @@ func BenchmarkAllSourcesBFS(b *testing.B) {
 		for v := range all {
 			all[v] = int32(v)
 		}
+		// sweepOver times the bit-parallel kernel over srcs in 64-source
+		// batches.
 		sweepOver := func(srcs []int32) func(b *testing.B) {
 			return func(b *testing.B) {
 				s := topo.NewMSBFSScratch(n)
@@ -498,7 +487,15 @@ func BenchmarkAllSourcesBFS(b *testing.B) {
 				sum := make([]int64, 64)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if msbfsSweep(c, srcs, s, ecc, sum) <= 0 {
+					var diam int32
+					for lo := 0; lo < len(srcs); lo += 64 {
+						batch := srcs[lo:min(lo+64, len(srcs))]
+						topo.MSBFSSourceInto(c, batch, s, ecc, sum, nil, nil)
+						for _, e := range ecc[:len(batch)] {
+							diam = max(diam, e)
+						}
+					}
+					if diam <= 0 {
 						b.Fatal("bad diameter")
 					}
 				}
