@@ -47,7 +47,7 @@ type Func struct {
 	Decl   *ast.FuncDecl // nil for literals
 	Lit    *ast.FuncLit  // nil for declarations
 	Pkg    *Package
-	Parent *Func // enclosing function, for literals
+	Parent *Func // enclosing function, for literals inside one
 
 	name string
 }
@@ -191,11 +191,23 @@ func buildCallGraph(fset *token.FileSet, pkgs []*Package) *CallGraph {
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
+				switch decl := decl.(type) {
+				case *ast.FuncDecl:
+					if f := g.ByNode[decl]; decl.Body != nil {
+						g.collectLits(pkg, f, f.name, decl.Body)
+					}
+				case *ast.GenDecl:
+					// Literals in package-level initializers (a table of
+					// func-valued fields) have no enclosing function; they
+					// are named after their variable.
+					for _, spec := range decl.Specs {
+						if vs, ok := spec.(*ast.ValueSpec); ok && len(vs.Names) > 0 {
+							for _, v := range vs.Values {
+								g.collectLits(pkg, nil, pkg.Name+"."+vs.Names[0].Name, v)
+							}
+						}
+					}
 				}
-				g.collectLits(pkg, g.ByNode[fd], fd.Body)
 			}
 		}
 	}
@@ -250,9 +262,10 @@ func buildCallGraph(fset *token.FileSet, pkgs []*Package) *CallGraph {
 	return g
 }
 
-// collectLits registers every function literal in body (recursively) as a
-// Func whose Parent is the innermost enclosing function.
-func (g *CallGraph) collectLits(pkg *Package, parent *Func, body *ast.BlockStmt) {
+// collectLits registers every function literal in node (recursively) as a
+// Func named name$N whose Parent is the innermost enclosing function (nil
+// for literals in package-level initializers).
+func (g *CallGraph) collectLits(pkg *Package, parent *Func, name string, node ast.Node) {
 	n := 0
 	var walk func(node ast.Node) bool
 	walk = func(node ast.Node) bool {
@@ -261,13 +274,13 @@ func (g *CallGraph) collectLits(pkg *Package, parent *Func, body *ast.BlockStmt)
 			return true
 		}
 		n++
-		f := &Func{Lit: lit, Pkg: pkg, Parent: parent, name: fmt.Sprintf("%s$%d", parent.name, n)}
+		f := &Func{Lit: lit, Pkg: pkg, Parent: parent, name: fmt.Sprintf("%s$%d", name, n)}
 		g.Funcs = append(g.Funcs, f)
 		g.ByNode[lit] = f
-		g.collectLits(pkg, f, lit.Body)
+		g.collectLits(pkg, f, f.name, lit.Body)
 		return false
 	}
-	ast.Inspect(body, walk)
+	ast.Inspect(node, walk)
 }
 
 // inspectShallow walks body without descending into nested function

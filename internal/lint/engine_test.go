@@ -37,19 +37,23 @@ func findFunc(t *testing.T, prog *Program, name string) *Func {
 // TestCallGraphGolden pins the full edge set of the fixture, one edge per
 // resolution mode: direct call, method call, binding through a func-valued
 // field, immediate literal invocation, literal nesting, interface
-// dispatch, and a deferred call.
+// dispatch, a deferred call, and a literal bound in a package-level table.
 func TestCallGraphGolden(t *testing.T) {
 	prog := loadEngineFixture(t)
 	got := prog.CallGraph().EdgeStrings()
 	want := []string{
 		"cg.(Ops).run -> cg.leaf",
+		"cg.(Ops).run -> cg.table$1",
 		"cg.DeferShape -> cg.leaf",
+		"cg.Lookup -> cg.leaf",
+		"cg.Lookup -> cg.table$1",
 		"cg.Through -> cg.(A).Str",
 		"cg.Top -> cg.(Ops).run",
 		"cg.Top -> cg.Top$1",
 		"cg.Top -> cg.mid",
 		"cg.Top$1 -> cg.leaf",
 		"cg.mid -> cg.leaf",
+		"cg.table$1 -> cg.leaf",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("call graph edges:\ngot:\n  %s\nwant:\n  %s",

@@ -1,8 +1,8 @@
 // Package cg is the fixture for the call-graph golden test and the CFG
 // shape tests: a small web covering every resolution mode (direct call,
 // method call, func-value binding through a struct field, immediate
-// literal, interface dispatch) plus functions whose bodies exercise each
-// CFG lowering.
+// literal, interface dispatch, a literal in a package-level table) plus
+// functions whose bodies exercise each CFG lowering.
 package cg
 
 // Ops carries a func-valued field so the binding-based resolution has
@@ -22,6 +22,13 @@ func mid() { leaf() }
 func leaf() {}
 
 func (o Ops) run() { o.hook() }
+
+// table binds a literal at package level: the literal is a node of its
+// own, reached through the field it is stored in.
+var table = map[string]Ops{"leaf": {hook: func() { leaf() }}}
+
+// Lookup calls through the package-level table.
+func Lookup() { table["leaf"].hook() }
 
 // Stringer is implemented by exactly one type, so the interface call in
 // Through resolves to a single edge.

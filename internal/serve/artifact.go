@@ -151,35 +151,19 @@ func BuildArtifactThreshold(ctx context.Context, p Params, maxNodes, implicitOve
 	if implicitOver <= 0 || implicitOver > maxNodes {
 		implicitOver = maxNodes
 	}
-	if IsSuperFamily(p.Net) {
-		return buildSuper(ctx, p, maxNodes, implicitOver)
+	f := familyTable[p.Net]
+	if f.super != nil {
+		return buildSuper(ctx, p, f, implicitOver)
 	}
-	return buildBaseline(ctx, p, maxNodes, implicitOver)
+	return buildBaseline(ctx, p, f, implicitOver)
 }
 
-func buildSuper(ctx context.Context, p Params, maxNodes, implicitOver int) (*Artifact, error) {
+func buildSuper(ctx context.Context, p Params, f *family, implicitOver int) (*Artifact, error) {
 	nuc, err := nucleus.Parse(p.Nucleus)
 	if err != nil {
 		return nil, err
 	}
-	var w *superipg.Network
-	switch p.Net {
-	case "hsn":
-		w = superipg.HSN(p.L, nuc)
-	case "ring-cn":
-		w = superipg.RingCN(p.L, nuc)
-	case "complete-cn":
-		w = superipg.CompleteCN(p.L, nuc)
-	case "sfn":
-		w = superipg.SFN(p.L, nuc)
-	case "hcn":
-		w = superipg.HSN(2, nuc)
-		w.Family = "HCN"
-	case "rcc":
-		w = superipg.RCC(p.L, nuc)
-	default:
-		return nil, fmt.Errorf("serve: %q is not a super-IPG family", p.Net)
-	}
+	w := f.super(p.L, nuc)
 	a := &Artifact{Params: p, W: w, Name: w.Name(), N: w.N()}
 	if a.N > implicitOver {
 		// Too large (or configured) for the arena: the address codec
@@ -215,120 +199,30 @@ func buildSuper(ctx context.Context, p Params, maxNodes, implicitOver int) (*Art
 	return a, nil
 }
 
-// baselineNodes is the node count of a baseline instance, computable
-// without building anything (the representation switch needs it first).
-func baselineNodes(p Params) int {
-	switch p.Net {
-	case "hypercube":
-		return 1 << p.Dim
-	case "torus":
-		return p.K * p.K
-	case "ccc", "butterfly":
-		return p.Dim << p.Dim
-	}
-	return 0
-}
-
-// buildImplicitBaseline wraps the family's rank/unrank codec; nothing is
-// materialized, so the artifact costs O(1) memory at any N.
-func buildImplicitBaseline(p Params) (*Artifact, error) {
-	var (
-		codec topo.Codec
-		name  string
-		err   error
-	)
-	switch p.Net {
-	case "hypercube":
-		codec, err = topo.NewHypercubeCodec(p.Dim)
-		name = fmt.Sprintf("Q%d", p.Dim)
-	case "torus":
-		codec, err = topo.NewTorusCodec(p.K, 2)
-		name = fmt.Sprintf("%d-ary 2-cube", p.K)
-	case "ccc":
-		codec, err = topo.NewCCCCodec(p.Dim)
-		name = fmt.Sprintf("CCC(%d)", p.Dim)
-	case "butterfly":
-		codec, err = topo.NewButterflyCodec(p.Dim)
-		name = fmt.Sprintf("WBF(%d)", p.Dim)
-	default:
-		return nil, fmt.Errorf("serve: no implicit codec for family %q", p.Net)
-	}
+// buildBaseline serves a baseline family through its rank/unrank codec
+// above implicitOver nodes (nothing is materialized, so the artifact
+// costs O(1) memory at any N), and materializes its clustered arena with
+// the MCMP profile otherwise.  Every baseline's codec covers the whole
+// range its check admits.
+func buildBaseline(ctx context.Context, p Params, f *family, implicitOver int) (*Artifact, error) {
+	name, codec, err := f.codec(p)
 	if err != nil {
 		return nil, err
 	}
-	im := topo.NewImplicit(codec)
-	return &Artifact{
-		Params:         p,
-		Name:           name,
-		N:              im.N(),
-		Impl:           im,
-		Representation: RepImplicit,
-		bytes:          im.ByteSize(),
-	}, nil
-}
-
-func buildBaseline(ctx context.Context, p Params, maxNodes, implicitOver int) (*Artifact, error) {
-	if n := baselineNodes(p); n > implicitOver {
-		a, err := buildImplicitBaseline(p)
-		if err == nil || n > maxNodes {
-			// Above the arena cap the codec is the only representation,
-			// so its error is final; between the thresholds a family the
-			// codec cannot express (e.g. CCC(2)) still materializes.
-			return a, err
-		}
+	if codec.N() > implicitOver {
+		im := topo.NewImplicit(codec)
+		return &Artifact{
+			Params:         p,
+			Name:           name,
+			N:              im.N(),
+			Impl:           im,
+			Representation: RepImplicit,
+			bytes:          im.ByteSize(),
+		}, nil
 	}
-	var (
-		c    *mcmp.Clustered
-		an   mcmp.Analysis
-		err  error
-		side []int8
-	)
-	switch p.Net {
-	case "hypercube":
-		if 1<<p.Dim > maxNodes {
-			return nil, fmt.Errorf("serve: Q%d has %d nodes, above the serving cap %d", p.Dim, 1<<p.Dim, maxNodes)
-		}
-		h := topology.NewHypercube(p.Dim)
-		c, err = mcmp.ClusterHypercube(h, p.LogM)
-		if err != nil {
-			return nil, err
-		}
-		side = mcmp.HypercubeBisection(c)
-	case "torus":
-		if p.K*p.K > maxNodes {
-			return nil, fmt.Errorf("serve: %d-ary 2-cube has %d nodes, above the serving cap %d", p.K, p.K*p.K, maxNodes)
-		}
-		tr := topology.NewTorus(p.K, 2)
-		c, err = mcmp.ClusterTorus2D(tr, p.Side)
-		if err != nil {
-			return nil, err
-		}
-		side = mcmp.Torus2DBisection(tr, c, p.Side)
-	case "ccc":
-		cc := topology.NewCCC(p.Dim)
-		if cc.N() > maxNodes {
-			return nil, fmt.Errorf("serve: CCC(%d) has %d nodes, above the serving cap %d", p.Dim, cc.N(), maxNodes)
-		}
-		c, err = mcmp.ClusterCCC(cc)
-		if err != nil {
-			return nil, err
-		}
-		side = mcmp.CCCBisection(cc, c)
-	case "butterfly":
-		bf := topology.NewButterfly(p.Dim)
-		if bf.N() > maxNodes {
-			return nil, fmt.Errorf("serve: WBF(%d) has %d nodes, above the serving cap %d", p.Dim, bf.N(), maxNodes)
-		}
-		c, err = mcmp.ClusterButterfly(bf, p.Band)
-		if err != nil {
-			return nil, err
-		}
-		side, err = mcmp.ButterflyBisection(bf, c, p.Band)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("serve: unknown baseline family %q", p.Net)
+	c, side, err := f.arena(p)
+	if err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -336,7 +230,7 @@ func buildBaseline(ctx context.Context, p Params, maxNodes, implicitOver int) (*
 	// The MCMP profile (including the quotient-graph BFS metrics) is the
 	// expensive part of a baseline build; computing it here means cached
 	// metric requests are pure reads.
-	an, err = mcmp.Analyze(c, side, float64(c.M))
+	an, err := mcmp.Analyze(c, side, float64(c.M))
 	if err != nil {
 		return nil, err
 	}
@@ -376,21 +270,11 @@ func (a *Artifact) SimNetwork(chipCapacity float64) (*netsim.Network, error) {
 	}
 	a.mu.Unlock()
 
-	var (
-		net *netsim.Network
-		err error
-	)
-	switch a.Params.Net {
-	case "hsn", "hcn", "rcc", "ring-cn", "complete-cn", "sfn":
-		// A nil router lets BuildSuperIPG pick the family's router.
-		net, err = netsim.BuildSuperIPG(a.W, a.G, chipCapacity, nil)
-	case "hypercube":
-		net, err = netsim.BuildHypercube(a.Params.Dim, a.Params.LogM, chipCapacity)
-	case "torus":
-		net, err = netsim.BuildTorus2D(a.Params.K, a.Params.Side, chipCapacity)
-	default:
+	f := familyTable[a.Params.Net]
+	if f.sim == nil {
 		return nil, fmt.Errorf("serve: no packet-level simulator for family %q", a.Params.Net)
 	}
+	net, err := f.sim(a, chipCapacity)
 	if err != nil {
 		return nil, err
 	}
@@ -541,7 +425,7 @@ func (a *Artifact) sweepableImplicit() bool {
 // ones collapse to a single codec-driven BFS (under implicitSweepMax).
 func (a *Artifact) Diameter(ctx context.Context) (int, error) {
 	if !a.Materialized() && !a.sweepableImplicit() {
-		return 0, fmt.Errorf("serve: %s has no representation that supports an exact diameter", a.Name)
+		return 0, badRequest("%s has no representation that supports an exact diameter: implicit sweeps need a vertex-transitive codec and at most %d nodes", a.Name, implicitSweepMax)
 	}
 	a.mu.Lock()
 	if a.diam != nil {

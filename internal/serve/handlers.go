@@ -474,9 +474,15 @@ type SimFaults struct {
 	DeadChips int    `json:"dead_chips,omitempty"`
 }
 
-// SimulateResponse is the /v1/simulate reply.  On a degraded network
-// every injected packet is accounted exactly once:
-// injected = delivered + dropped + in-flight.
+// SimulateResponse is the /v1/simulate reply.  How its packet counts
+// relate depends on the workload.  te and transpose run from an empty
+// network until every packet is delivered or dropped, so for them
+// injected = delivered + dropped.  The random workload counts only its
+// measurement window: a packet injected during warmup and delivered in
+// the window counts as delivered but not as injected, so the window
+// satisfies
+//
+//	in-flight(end) = in-flight(start) + injected - delivered - dropped.
 type SimulateResponse struct {
 	Network   string     `json:"network"`
 	Workload  string     `json:"workload"`
@@ -579,9 +585,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 	if a.N > s.cfg.SimMaxNodes {
 		return badRequest("%s has %d nodes, above the simulation cap %d", a.Name, a.N, s.cfg.SimMaxNodes)
 	}
-	logN := bits.TrailingZeros(uint(a.N))
-	if workload == "transpose" && (1<<logN != a.N || logN%2 != 0) {
-		return badRequest("transpose needs a power-of-two node count with an even number of address bits; %s has %d nodes", a.Name, a.N)
+	if workload == "transpose" {
+		if _, err := transposeBits(a); err != nil {
+			return err
+		}
 	}
 	packets := float64(a.N) // transpose: one packet per node
 	switch workload {
@@ -602,109 +609,150 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 	}
 	defer release()
 
-	net, err := a.SimNetwork(chipCap)
+	sim := Simulation{Workload: workload, Seed: int64(seed), Rate: rate, Warmup: warmup, Measure: measure, ChipCap: chipCap}
+	if fq != nil {
+		sim.Faults, sim.Routing = fq.Spec, fq.Routing
+	}
+	net, echo, err := sim.Network(a)
 	if err != nil {
-		return badRequest("%v", err)
+		return err
 	}
+	resp, _, err := sim.Run(r.Context(), a, net)
+	if err != nil {
+		return err
+	}
+	resp.Faults = echo
+	return writeJSON(w, resp)
+}
 
-	const maxDrainRounds = 1 << 20
-	resp := SimulateResponse{Network: a.Name, Workload: workload, Nodes: a.N}
-	if fq != nil && fq.Spec.Count > 0 {
-		dnet, sum, err := netsim.Degrade(net, fq.Spec)
-		if err != nil {
-			return badRequest("%v", err)
-		}
-		if fq.Routing == "aware" {
-			far, err := netsim.NewFaultAwareRouter(dnet)
-			if err != nil {
-				return badRequest("%v", err)
-			}
-			dnet.Router = far
-		}
-		net = dnet
-		resp.Faults = &SimFaults{
-			Mode:      string(sum.Mode),
-			Count:     fq.Spec.Count,
-			Seed:      fq.Spec.Seed,
-			Routing:   fq.Routing,
-			DeadNodes: len(sum.DeadNodes),
-			DeadLinks: len(sum.DeadLinks),
-			DeadChips: len(sum.DeadChips),
-		}
+// Simulation is one packet-level run on an artifact's simulator network:
+// the workload with its knobs and seed, and the fault scenario that
+// degrades the network first.  /v1/simulate and ipgsim both run through
+// it, so they answer identically for the same seed.
+type Simulation struct {
+	Workload        string     // random | te | transpose
+	Seed            int64      // traffic seed
+	Rate            float64    // injection rate, packets/node/round (random)
+	Warmup, Measure int        // rounds (random)
+	ChipCap         float64    // off-chip budget per chip, packets/round
+	Faults          fault.Spec // Count 0 runs the healthy network
+	Routing         string     // aware | oblivious: how a degraded network routes
+}
+
+// maxDrainRounds bounds the te and transpose runs, which step until every
+// packet is delivered or dropped.
+const maxDrainRounds = 1 << 20
+
+// Network returns the network s runs on — a's memoized simulator network
+// for s.ChipCap, degraded by s.Faults with the fault-aware router when
+// s.Routing is "aware" — and the fault echo, nil on a healthy network.
+func (s *Simulation) Network(a *Artifact) (*netsim.Network, *SimFaults, error) {
+	net, err := a.SimNetwork(s.ChipCap)
+	if err != nil || s.Faults.Count == 0 {
+		return net, nil, asBadRequest(err)
 	}
-	switch workload {
+	dnet, sum, err := netsim.Degrade(net, s.Faults)
+	if err != nil {
+		return nil, nil, asBadRequest(err)
+	}
+	if s.Routing == "aware" {
+		far, err := netsim.NewFaultAwareRouter(dnet)
+		if err != nil {
+			return nil, nil, asBadRequest(err)
+		}
+		dnet.Router = far
+	}
+	return dnet, &SimFaults{
+		Mode:      string(sum.Mode),
+		Count:     s.Faults.Count,
+		Seed:      s.Faults.Seed,
+		Routing:   s.Routing,
+		DeadNodes: len(sum.DeadNodes),
+		DeadLinks: len(sum.DeadLinks),
+		DeadChips: len(sum.DeadChips),
+	}, nil
+}
+
+// Run runs s's workload on net (from s.Network) and returns the response
+// document, without the fault echo, and the run's raw counters.
+func (s *Simulation) Run(ctx context.Context, a *Artifact, net *netsim.Network) (*SimulateResponse, netsim.Stats, error) {
+	resp := &SimulateResponse{Network: a.Name, Workload: s.Workload, Nodes: a.N}
+	var res netsim.DrainResult
+	var err error
+	switch s.Workload {
 	case "random":
-		res, err := netsim.RunRandomUniformCtx(r.Context(), net, int64(seed), rate, warmup, measure)
-		if err != nil {
-			return err
+		var rr netsim.RandomResult
+		if rr, err = netsim.RunRandomUniformCtx(ctx, net, s.Seed, s.Rate, s.Warmup, s.Measure); err == nil {
+			res = netsim.DrainResult{Rounds: rr.Stats.Rounds, Stats: rr.Stats}
+			resp.Accepted, resp.Saturated = rr.Accepted, &rr.Saturated
 		}
-		resp.Rounds = res.Stats.Rounds
-		resp.Injected = res.Stats.Injected
-		resp.Delivered = res.Stats.Delivered
-		resp.Dropped = res.Stats.Dropped
-		resp.Retried = res.Stats.Retried
-		resp.Latency = res.Latency
-		resp.OffChip = res.Stats.OffChipPerPacket()
-		resp.Accepted = res.Accepted
-		resp.Saturated = &res.Saturated
 	case "te":
-		res, err := netsim.RunTotalExchangeCtx(r.Context(), net, int64(seed), maxDrainRounds)
-		if err != nil {
-			return err
-		}
-		resp.Rounds = res.Rounds
-		resp.Injected = res.Stats.Injected
-		resp.Delivered = res.Stats.Delivered
-		resp.Dropped = res.Stats.Dropped
-		resp.Retried = res.Stats.Retried
-		resp.Latency = res.Stats.AvgLatency()
-		resp.OffChip = res.Stats.OffChipPerPacket()
+		res, err = netsim.RunTotalExchangeCtx(ctx, net, s.Seed, maxDrainRounds)
 	case "transpose":
-		perm, err := netsim.Transpose(logN)
-		if err != nil {
-			return badRequest("%v", err)
+		var perm []int32
+		if perm, err = a.transposePerm(ctx); err == nil {
+			res, err = netsim.RunPermutationCtx(ctx, net, s.Seed, perm, maxDrainRounds)
 		}
-		if a.Super() {
-			// Map the address-space permutation onto simulator node ids.
-			//lint:ignore scratchalloc mapped is the permutation handed to the simulator, which retains it past the handler — not traversal scratch
-			mapped := make([]int32, a.N)
-			for v := 0; v < a.N; v++ {
-				if v&1023 == 0 {
-					if err := r.Context().Err(); err != nil {
-						return err
-					}
-				}
-				addr, err := a.W.AddressOf(a.G.Label(v))
-				if err != nil {
-					return err
-				}
-				dstAddr := perm[addr]
-				dstLabel, err := a.W.LabelOf(int(dstAddr))
-				if err != nil {
-					return err
-				}
-				dv := a.G.NodeID(dstLabel)
-				if dv < 0 {
-					return fmt.Errorf("serve: address %d maps to an unknown label", dstAddr)
-				}
-				//lint:ignore indextrunc node ids are < g.N() <= ipg.MaxNodes (1<<22)
-				mapped[v] = int32(dv)
-			}
-			perm = mapped
-		}
-		res, err := netsim.RunPermutationCtx(r.Context(), net, int64(seed), perm, maxDrainRounds)
-		if err != nil {
-			return err
-		}
-		resp.Rounds = res.Rounds
-		resp.Injected = res.Stats.Injected
-		resp.Delivered = res.Stats.Delivered
-		resp.Dropped = res.Stats.Dropped
-		resp.Retried = res.Stats.Retried
-		resp.Latency = res.Stats.AvgLatency()
-		resp.OffChip = res.Stats.OffChipPerPacket()
+	default:
+		err = badRequest("unknown workload %q (random|te|transpose)", s.Workload)
 	}
-	return writeJSON(w, &resp)
+	if err != nil {
+		return nil, res.Stats, err
+	}
+	st := res.Stats
+	resp.Rounds, resp.Injected, resp.Delivered, resp.Dropped, resp.Retried = res.Rounds, st.Injected, st.Delivered, st.Dropped, st.Retried
+	resp.Latency, resp.OffChip = st.AvgLatency(), st.OffChipPerPacket()
+	return resp, st, nil
+}
+
+// transposeBits returns the address width of a's matrix transposition,
+// which needs a power-of-two node count with an even number of address
+// bits.
+func transposeBits(a *Artifact) (int, error) {
+	logN := bits.TrailingZeros(uint(a.N))
+	if 1<<logN != a.N || logN%2 != 0 {
+		return 0, badRequest("transpose needs a power-of-two node count with an even number of address bits; %s has %d nodes", a.Name, a.N)
+	}
+	return logN, nil
+}
+
+// transposePerm returns the matrix transposition as a permutation of a's
+// simulator node ids.  Baseline node ids are addresses; a super-IPG's
+// nodes are numbered in BFS order, so the address-space permutation is
+// carried over through each node's label.
+func (a *Artifact) transposePerm(ctx context.Context) ([]int32, error) {
+	logN, err := transposeBits(a)
+	if err != nil {
+		return nil, err
+	}
+	perm, err := netsim.Transpose(logN)
+	if err != nil || !a.Super() {
+		return perm, asBadRequest(err)
+	}
+	mapped := make([]int32, a.N)
+	for v := 0; v < a.N; v++ {
+		if v&1023 == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		addr, err := a.W.AddressOf(a.G.Label(v))
+		if err != nil {
+			return nil, err
+		}
+		dstAddr := perm[addr]
+		dstLabel, err := a.W.LabelOf(int(dstAddr))
+		if err != nil {
+			return nil, err
+		}
+		dv := a.G.NodeID(dstLabel)
+		if dv < 0 {
+			return nil, fmt.Errorf("serve: address %d maps to an unknown label", dstAddr)
+		}
+		//lint:ignore indextrunc node ids are < g.N() <= ipg.MaxNodes (1<<22)
+		mapped[v] = int32(dv)
+	}
+	return mapped, nil
 }
 
 // queryInt reads an integer query parameter with a default.

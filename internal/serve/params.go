@@ -7,19 +7,17 @@ package serve
 import (
 	"fmt"
 	"net/url"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 
 	"ipg/internal/nucleus"
-	"ipg/internal/topology"
 )
 
-// Params identifies one network family instance.  Only the fields listed
-// in familyParams for the chosen Net are meaningful; Key() canonicalizes
-// exactly those, so HSN(3,Q4) requested with a stray default dim and
-// HSN(3,Q4) requested bare hash to the same cache entry.
+// Params identifies one network family instance.  Only the fields its
+// family table entry consumes are meaningful; Key() canonicalizes exactly
+// those, so HSN(3,Q4) requested with a stray default dim and HSN(3,Q4)
+// requested bare hash to the same cache entry.
 type Params struct {
 	Net     string // family name, lowercase
 	L       int    // super-symbols (super-IPG families)
@@ -37,29 +35,6 @@ func Defaults() Params {
 	return Params{Net: "hsn", L: 3, Nucleus: "q2", Dim: 8, LogM: 2, K: 8, Side: 2, Band: 2}
 }
 
-// superFamilies are the super-IPG families materialized via
-// internal/superipg; the rest are baseline MCMP networks.
-var superFamilies = map[string]bool{
-	"hsn": true, "ring-cn": true, "complete-cn": true, "sfn": true,
-	"hcn": true, "rcc": true,
-}
-
-// familyParams maps each family to the parameter names it consumes.  A
-// request that sets a parameter its family ignores is rejected rather
-// than silently building a different network than the caller imagined.
-var familyParams = map[string]map[string]bool{
-	"hsn":         {"l": true, "nucleus": true},
-	"ring-cn":     {"l": true, "nucleus": true},
-	"complete-cn": {"l": true, "nucleus": true},
-	"sfn":         {"l": true, "nucleus": true},
-	"rcc":         {"l": true, "nucleus": true},
-	"hcn":         {"nucleus": true},
-	"hypercube":   {"dim": true, "logm": true},
-	"torus":       {"k": true, "side": true},
-	"ccc":         {"dim": true},
-	"butterfly":   {"dim": true, "band": true},
-}
-
 // Provided is the set of explicitly supplied parameter names as a
 // bitmask — the allocation-free form of Check's map argument, used by
 // the serving hot path (ParamsFromRawQuery + CheckProvided).
@@ -75,30 +50,21 @@ const (
 	ProvBand
 )
 
-// provNames orders the parameter bits for error messages, matching the
-// names familyParams uses.
+// provNames orders the parameter bits for error messages and flags, with
+// each parameter's flag help text.
 var provNames = [...]struct {
-	name string
-	bit  Provided
+	name  string
+	bit   Provided
+	usage string
 }{
-	{"l", ProvL}, {"nucleus", ProvNucleus}, {"dim", ProvDim},
-	{"logm", ProvLogM}, {"k", ProvK}, {"side", ProvSide}, {"band", ProvBand},
+	{"l", ProvL, "number of super-symbols"},
+	{"nucleus", ProvNucleus, "nucleus: qK | fqK | kM | cM | sN | ghc:m1,m2,..."},
+	{"dim", ProvDim, "dimension"},
+	{"logm", ProvLogM, "log2 nodes per chip"},
+	{"k", ProvK, "radix"},
+	{"side", ProvSide, "chip side"},
+	{"band", ProvBand, "level band width"},
 }
-
-// familyAllowedMask is familyParams in bitmask form, derived once.
-var familyAllowedMask = func() map[string]Provided {
-	out := make(map[string]Provided, len(familyParams))
-	for fam, allowed := range familyParams {
-		var mask Provided
-		for _, pn := range provNames {
-			if allowed[pn.name] {
-				mask |= pn.bit
-			}
-		}
-		out[fam] = mask
-	}
-	return out
-}()
 
 // provBit maps a parameter name to its bit.
 func provBit(name string) (Provided, bool) {
@@ -110,26 +76,13 @@ func provBit(name string) (Provided, bool) {
 	return 0, false
 }
 
-// Families returns the known family names, sorted.
-func Families() []string {
-	out := make([]string, 0, len(familyParams))
-	for f := range familyParams {
-		out = append(out, f)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// IsSuperFamily reports whether net names a super-IPG family.
-func IsSuperFamily(net string) bool { return superFamilies[net] }
-
 // Check validates p.  provided names the parameters the caller explicitly
 // set ("l", "nucleus", "dim", "logm", "k", "side", "band"); a provided
 // parameter the family does not consume is an error.  Pass nil to skip
 // the applicability check and validate ranges only.
 func (p Params) Check(provided map[string]bool) error {
-	if _, ok := familyAllowedMask[p.Net]; !ok {
-		return fmt.Errorf("unknown network %q (known: %s)", p.Net, strings.Join(Families(), ", "))
+	if _, err := lookupFamily(p.Net); err != nil {
+		return err
 	}
 	var prov Provided
 	for name := range provided {
@@ -145,71 +98,18 @@ func (p Params) Check(provided map[string]bool) error {
 // CheckProvided is Check with the provided set as a bitmask: the
 // allocation-free validation the raw-query request path uses.
 func (p Params) CheckProvided(prov Provided) error {
-	allowed, ok := familyAllowedMask[p.Net]
-	if !ok {
-		return fmt.Errorf("unknown network %q (known: %s)", p.Net, strings.Join(Families(), ", "))
+	f, err := lookupFamily(p.Net)
+	if err != nil {
+		return err
 	}
-	if bad := prov &^ allowed; bad != 0 {
+	if bad := prov &^ f.params; bad != 0 {
 		for _, pn := range provNames {
 			if bad&pn.bit != 0 {
 				return fmt.Errorf("parameter %q does not apply to net %q", pn.name, p.Net)
 			}
 		}
 	}
-	switch {
-	case superFamilies[p.Net]:
-		l := p.effectiveL()
-		if l < 2 || l > 20 {
-			// The Theorem 4.1/4.3 arrangement BFS is bounded to l <= 20.
-			return fmt.Errorf("l = %d outside [2, 20]", p.L)
-		}
-		nuc, err := parseNucleusCached(p.Nucleus)
-		if err != nil {
-			return err
-		}
-		// Overflow-guard the M^l node count; label-level metrics work at
-		// any size, but the count itself must stay a sane int.
-		n := 1
-		for i := 0; i < l; i++ {
-			if nuc.M <= 0 || n > (1<<40)/nuc.M {
-				return fmt.Errorf("%s(%d,%s) has more than 2^40 nodes", p.Net, l, p.Nucleus)
-			}
-			n *= nuc.M
-		}
-	case p.Net == "hypercube":
-		// Materialization is still capped at topology.MaxNodes (1<<22)
-		// nodes at build time; the wider bound here admits the sizes the
-		// implicit rank/unrank codec can serve (vertex ids within int32).
-		if p.Dim < 1 || p.Dim > 30 {
-			return fmt.Errorf("hypercube dim %d outside [1, 30]", p.Dim)
-		}
-		if p.LogM < 0 || p.LogM >= p.Dim {
-			return fmt.Errorf("logm %d outside [0, dim) for Q%d: nodes per chip must be a power of two dividing the network", p.LogM, p.Dim)
-		}
-	case p.Net == "torus":
-		if p.K < 2 || p.K > 46340 {
-			// 46340^2 is the largest square within int32 vertex ids; sizes
-			// above topology.MaxNodes are served implicitly.
-			return fmt.Errorf("torus radix k = %d outside [2, 46340]", p.K)
-		}
-		if p.Side < 1 || p.Side > p.K || p.K%p.Side != 0 {
-			return fmt.Errorf("chip side %d must be in [1, k] and divide k = %d", p.Side, p.K)
-		}
-	case p.Net == "ccc":
-		if p.Dim < 2 || p.Dim > 26 {
-			// CCC(d) has d*2^d nodes; 26*2^26 < math.MaxInt32 < 27*2^27.
-			// Sizes above topology.MaxNodes are served implicitly.
-			return fmt.Errorf("ccc dim %d outside [2, 26]", p.Dim)
-		}
-	case p.Net == "butterfly":
-		if p.Dim < 2 || p.Dim > 26 {
-			return fmt.Errorf("butterfly dim %d outside [2, 26]", p.Dim)
-		}
-		if p.Band < 1 || p.Band > p.Dim || p.Dim%p.Band != 0 {
-			return fmt.Errorf("band %d must be in [1, dim] and divide dim = %d", p.Band, p.Dim)
-		}
-	}
-	return nil
+	return f.check(p)
 }
 
 // nucCache memoizes nucleus.Parse results for CheckProvided: the hot
@@ -247,15 +147,6 @@ func parseNucleusCached(spec string) (*nucleus.Nucleus, error) {
 	return nuc, err
 }
 
-// effectiveL is the super-symbol count actually used: HCN is HSN(2, G) by
-// definition, so its l is pinned at 2.
-func (p Params) effectiveL() int {
-	if p.Net == "hcn" {
-		return 2
-	}
-	return p.L
-}
-
 // Key returns the canonical cache key: the family plus exactly the
 // parameters it consumes, in fixed order.
 func (p Params) Key() string { return string(p.AppendKey(nil)) }
@@ -265,44 +156,48 @@ func (p Params) Key() string { return string(p.AppendKey(nil)) }
 // request path can probe the cache with a pooled key buffer.  The bytes
 // are identical to Key's.
 func (p Params) AppendKey(dst []byte) []byte {
-	allowed := familyAllowedMask[p.Net]
+	var allowed Provided
+	if f := familyTable[p.Net]; f != nil {
+		allowed = f.params
+	}
 	dst = append(dst, p.Net...)
-	if allowed&ProvL != 0 {
-		dst = append(dst, "|l="...)
-		dst = strconv.AppendInt(dst, int64(p.effectiveL()), 10)
-	}
-	if allowed&ProvNucleus != 0 {
-		dst = append(dst, "|nucleus="...)
-		// ToLower returns its input unchanged (no copy) when the spec is
-		// already lowercase, which request-decoded params always are.
-		dst = append(dst, strings.ToLower(strings.TrimSpace(p.Nucleus))...)
-	}
-	if allowed&ProvDim != 0 {
-		dst = append(dst, "|dim="...)
-		dst = strconv.AppendInt(dst, int64(p.Dim), 10)
-	}
-	if allowed&ProvLogM != 0 {
-		dst = append(dst, "|logm="...)
-		dst = strconv.AppendInt(dst, int64(p.LogM), 10)
-	}
-	if allowed&ProvK != 0 {
-		dst = append(dst, "|k="...)
-		dst = strconv.AppendInt(dst, int64(p.K), 10)
-	}
-	if allowed&ProvSide != 0 {
-		dst = append(dst, "|side="...)
-		dst = strconv.AppendInt(dst, int64(p.Side), 10)
-	}
-	if allowed&ProvBand != 0 {
-		dst = append(dst, "|band="...)
-		dst = strconv.AppendInt(dst, int64(p.Band), 10)
+	for _, pn := range provNames {
+		if allowed&pn.bit == 0 {
+			continue
+		}
+		dst = append(dst, '|')
+		dst = append(dst, pn.name...)
+		dst = append(dst, '=')
+		if pn.bit == ProvNucleus {
+			// ToLower returns its input unchanged (no copy) when the spec
+			// is already lowercase, which request-decoded params always are.
+			dst = append(dst, strings.ToLower(strings.TrimSpace(p.Nucleus))...)
+		} else {
+			dst = strconv.AppendInt(dst, int64(*p.intParam(pn.bit)), 10)
+		}
 	}
 	return dst
 }
 
-// MaxBaselineNodes is the materialization cap for baseline families,
-// re-exported for range documentation.
-const MaxBaselineNodes = topology.MaxNodes
+// intParam returns the field of p that the integer parameter bit sets,
+// or nil for the nucleus.
+func (p *Params) intParam(bit Provided) *int {
+	switch bit {
+	case ProvL:
+		return &p.L
+	case ProvDim:
+		return &p.Dim
+	case ProvLogM:
+		return &p.LogM
+	case ProvK:
+		return &p.K
+	case ProvSide:
+		return &p.Side
+	case ProvBand:
+		return &p.Band
+	}
+	return nil
+}
 
 // ParamsFromQuery decodes family parameters from an HTTP query, applying
 // the shared defaults, and returns the set of explicitly provided names
@@ -314,28 +209,21 @@ func ParamsFromQuery(q url.Values) (Params, map[string]bool, error) {
 	if v := q.Get("net"); v != "" {
 		p.Net = strings.ToLower(strings.TrimSpace(v))
 	}
-	if v := q.Get("nucleus"); v != "" {
-		p.Nucleus = strings.ToLower(strings.TrimSpace(v))
-		provided["nucleus"] = true
-	}
-	ints := []struct {
-		name string
-		dst  *int
-	}{
-		{"l", &p.L}, {"dim", &p.Dim}, {"logm", &p.LogM},
-		{"k", &p.K}, {"side", &p.Side}, {"band", &p.Band},
-	}
-	for _, f := range ints {
-		v := q.Get(f.name)
+	for _, pn := range provNames {
+		v := q.Get(pn.name)
 		if v == "" {
 			continue
 		}
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return p, provided, fmt.Errorf("parameter %q: bad integer %q", f.name, v)
+		if pn.bit == ProvNucleus {
+			p.Nucleus = strings.ToLower(strings.TrimSpace(v))
+		} else {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				return p, provided, fmt.Errorf("parameter %q: bad integer %q", pn.name, v)
+			}
+			*p.intParam(pn.bit) = n
 		}
-		*f.dst = n
-		provided[f.name] = true
+		provided[pn.name] = true
 	}
 	return p, provided, nil
 }
@@ -399,20 +287,7 @@ func ParamsFromRawQuery(raw string) (Params, Provided, error) {
 		if err != nil {
 			return p, prov, fmt.Errorf("parameter %q: bad integer %q", key, val)
 		}
-		switch bit {
-		case ProvL:
-			p.L = n
-		case ProvDim:
-			p.Dim = n
-		case ProvLogM:
-			p.LogM = n
-		case ProvK:
-			p.K = n
-		case ProvSide:
-			p.Side = n
-		case ProvBand:
-			p.Band = n
-		}
+		*p.intParam(bit) = n
 		prov |= bit
 	}
 	return p, prov, nil

@@ -368,7 +368,11 @@ func TestBadRequests(t *testing.T) {
 		"/v1/build?net=torus&k=8&side=3", // side does not divide k
 		"/v1/route?net=hsn&l=2&nucleus=q2&src=-1&dst=0",
 		"/v1/simulate?net=hsn&l=2&nucleus=q2&workload=nope",
-		"/v1/simulate?net=ccc&dim=4", // no simulator for ccc
+		"/v1/simulate?net=ccc&dim=4",                    // no simulator for ccc
+		"/v1/build?net=rcc&l=5&nucleus=q2",              // 4^32 nodes: RCC(r) labels hold 2^r nucleus states
+		"/v1/metrics?net=hsn&l=7&nucleus=q4&diameter=1", // codec too large to sweep
+		"/v1/build?net=torus&k=6&side=2",                // odd chip columns: no chip bisection
+		"/v1/metrics?net=butterfly&dim=6&band=2",        // odd level bands: no chip bisection
 	}
 	for _, path := range cases {
 		var body map[string]string

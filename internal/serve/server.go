@@ -326,6 +326,14 @@ func badRequest(format string, args ...any) error {
 	return &httpError{code: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
+// asBadRequest turns a non-nil err into a 400 with its message.
+func asBadRequest(err error) error {
+	if err == nil {
+		return nil
+	}
+	return badRequest("%v", err)
+}
+
 // writeError maps an error to a JSON error body with the right status:
 // pool saturation becomes 503 + Retry-After, a blown request deadline
 // becomes 504, cancellations become 499 (client gone), everything else
