@@ -67,21 +67,22 @@ func TestFamilyGridNo5xx(t *testing.T) {
 	served := map[string]int{}
 	for _, net := range Families() {
 		for _, q := range familyGrid(net) {
-			rec := get("/v1/build?" + q)
-			if rec.Code != http.StatusOK {
-				continue
+			// Instances /v1/build refuses go through every endpoint too.
+			dst := 1
+			if rec := get("/v1/build?" + q); rec.Code == http.StatusOK {
+				var b BuildResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &b); err != nil {
+					t.Fatalf("build %s: %v", q, err)
+				}
+				if b.Nodes > 4096 {
+					continue
+				}
+				served[net]++
+				dst = b.Nodes - 1
 			}
-			var b BuildResponse
-			if err := json.Unmarshal(rec.Body.Bytes(), &b); err != nil {
-				t.Fatalf("build %s: %v", q, err)
-			}
-			if b.Nodes > 4096 {
-				continue
-			}
-			served[net]++
 			get("/v1/metrics?" + q)
 			get("/v1/metrics?diameter=1&" + q)
-			get("/v1/route?src=0&dst=" + strconv.Itoa(b.Nodes-1) + "&" + q)
+			get("/v1/route?src=0&dst=" + strconv.Itoa(dst) + "&" + q)
 			get("/v1/simulate?warmup=10&measure=40&" + q)
 		}
 	}
