@@ -42,7 +42,8 @@ func ExampleHSN() {
 	fmt.Println("nodes:", g.N())
 	fmt.Println("chips:", g.N()/net.M())
 	fmt.Println("intercluster diameter:", t)
-	_, avg, _ := net.InterclusterDistances(context.Background(), g)
+	clusterOf, nc := net.Clusters(g)
+	_, avg, _ := net.InterclusterDistances(context.Background(), g, clusterOf, nc)
 	fmt.Println("avg intercluster distance:", avg)
 	// Output:
 	// nodes: 4096

@@ -47,7 +47,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("  intercluster diameter: %d (= l-1, Corollary 4.2)\n", t)
-	_, icAvg, err := net.InterclusterDistances(context.Background(), g)
+	clusterOf, nc := net.Clusters(g)
+	_, icAvg, err := net.InterclusterDistances(context.Background(), g, clusterOf, nc)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -42,7 +42,8 @@ func runICDiameter(scale Scale) (*Result, error) {
 			if w.Family == "directed-CN" {
 				d = w.DirectedInterclusterDiameter(g)
 			} else {
-				d, _, _ = w.InterclusterDistances(context.Background(), g) // Background is never cancelled
+				clusterOf, nc := w.Clusters(g)
+				d, _, _ = w.InterclusterDistances(context.Background(), g, clusterOf, nc) // Background is never cancelled
 			}
 			measured := fmt.Sprint(d)
 			okMeasured := d == l-1

@@ -6,7 +6,6 @@ import (
 	"ipg/internal/analysis"
 	"ipg/internal/mcmp"
 	"ipg/internal/nucleus"
-	"ipg/internal/perm"
 	"ipg/internal/superipg"
 	"ipg/internal/topology"
 )
@@ -34,10 +33,10 @@ func runMultiLevel(scale Scale) (*Result, error) {
 	}
 	u := g.Undirected()
 	mInner := 2 * k // symbols per innermost Q_k group
-	chipOf, nChips := g.ClustersBy(func(l perm.Label) string { return string(l[mInner:]) })
+	chipOf, nChips := g.ClustersBy(mInner)
 	// Boards: nodes sharing the suffix beyond the inner HSN label.
 	mMid := w.SymbolLen() // symbols of the inner HSN (= nucleus of the outer level)
-	boardOfNode, nBoards := g.ClustersBy(func(l perm.Label) string { return string(l[mMid:]) })
+	boardOfNode, nBoards := g.ClustersBy(mMid)
 	boardOfChip := make([]int32, nChips)
 	for v := 0; v < g.N(); v++ {
 		boardOfChip[chipOf[v]] = boardOfNode[v]

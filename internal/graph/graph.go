@@ -381,6 +381,7 @@ func CartesianProduct(g, h *Graph) *Graph {
 	gc, hc := g.ensure(), h.ensure()
 	nh := h.N()
 	out := FromStream(g.N()*nh, func(edge func(u, v int)) {
+		//lint:ignore ctxflow one pass over the product's arcs, whose vertex count FromStream bounds by CheckVertexCount, once per built graph
 		for u := 0; u < g.N(); u++ {
 			for v := 0; v < nh; v++ {
 				id := u*nh + v

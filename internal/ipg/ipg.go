@@ -11,7 +11,10 @@
 package ipg
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"ipg/internal/graph"
 	"ipg/internal/perm"
@@ -43,8 +46,16 @@ func (s Spec) Validate() error {
 // itself: a self-loop, which is not a link in the physical network).
 type Graph struct {
 	Spec
-	nodes []perm.Label
-	index map[string]int32
+	// labels holds every label back to back, one fixed-width record per
+	// node: node v's label is labels[v*width : (v+1)*width].
+	labels []byte
+	width  int
+	n      int
+	// table indexes the labels by content: an open-addressing table with
+	// linear probing over a power-of-two number of slots, each holding
+	// a node id plus one (0 marks an empty slot).  It is kept at most
+	// half full.
+	table []int32
 	// adj holds the per-generator adjacency in one flat array: the node
 	// reached from v by generator gi is adj[v*len(Gens)+gi].
 	adj []int32
@@ -54,32 +65,42 @@ type Graph struct {
 // (e.g. a mistaken generator set generating a huge permutation group).
 const MaxNodes = 1 << 22
 
-// Build materializes the IPG defined by spec via breadth-first closure.
+// minTable is the label table's initial slot count.
+const minTable = 64
+
+// Build materializes the IPG defined by spec via breadth-first closure:
+// node ids are assigned in BFS order from the seed (node 0), generators
+// in order.
 func Build(spec Spec) (*Graph, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	g := &Graph{
-		Spec:  spec,
-		index: make(map[string]int32),
-	}
-	g.addNode(spec.Seed.Clone())
-	scratch := make(perm.Label, len(spec.Seed))
-	for head := 0; head < len(g.nodes); head++ {
-		cur := g.nodes[head]
+	g := &Graph{Spec: spec, width: len(spec.Seed)}
+	g.resize(minTable)
+	g.insert(spec.Seed, g.slot(spec.Seed))
+	scratch := make(perm.Label, g.width)
+	//lint:ignore ctxflow the closure is capped at MaxNodes (1<<22) nodes and runs once per artifact under serve's build timeout
+	for head := 0; head < g.N(); head++ {
+		// A view, not a copy: appends below may move the arena, but the
+		// old backing array keeps this label intact.
+		cur := g.Label(head)
 		for _, gen := range spec.Gens {
 			gen.P.ApplyInto(scratch, cur)
-			key := string(scratch)
-			id, ok := g.index[key]
-			if !ok {
-				if len(g.nodes) >= MaxNodes {
+			s := g.slot(scratch)
+			id := g.table[s] - 1
+			if id < 0 {
+				if g.N() >= MaxNodes {
 					return nil, fmt.Errorf("ipg: %s exceeds MaxNodes=%d", spec.Name, MaxNodes)
 				}
-				id = g.addNode(scratch.Clone())
+				id = g.insert(scratch, s)
 			}
 			g.adj = append(g.adj, id)
 		}
 	}
+	// One trim: the arena and the adjacency drop their growth slack, so
+	// what stays resident is what MemoryFootprint charges.
+	g.labels = slices.Clone(g.labels)
+	g.adj = slices.Clone(g.adj)
 	return g, nil
 }
 
@@ -92,37 +113,75 @@ func MustBuild(spec Spec) *Graph {
 	return g
 }
 
-func (g *Graph) addNode(l perm.Label) int32 {
-	//lint:ignore indextrunc Build caps len(g.nodes) at MaxNodes (1<<22) before growing
-	id := int32(len(g.nodes))
-	g.nodes = append(g.nodes, l)
-	g.index[string(l)] = id
+// hashLabel hashes a label eight symbols at a time, multiplying each
+// mixed word by an odd constant so that every input bit reaches the high
+// bits, which pick the slot.
+func hashLabel(l []byte) uint64 {
+	const m = 0x9e3779b97f4a7c15
+	h := uint64(len(l))
+	for ; len(l) >= 8; l = l[8:] {
+		h = (h ^ binary.LittleEndian.Uint64(l)) * m
+		h ^= h >> 32
+	}
+	for _, b := range l {
+		h = (h ^ uint64(b)) * m
+	}
+	return (h ^ h>>29) * m
+}
+
+// slot returns the table slot holding l's node, or the empty slot where
+// l would go.  l must have the graph's width.
+func (g *Graph) slot(l []byte) int {
+	mask := len(g.table) - 1
+	shift := 64 - bits.Len(uint(mask))
+	s := int(hashLabel(l) >> shift)
+	for {
+		id := int(g.table[s]) - 1
+		if id < 0 || string(g.labels[id*g.width:(id+1)*g.width]) == string(l) {
+			return s
+		}
+		s = (s + 1) & mask
+	}
+}
+
+// insert appends l as a new node in the empty slot s (from slot), growing
+// the table when it would pass half full.
+func (g *Graph) insert(l []byte, s int) int32 {
+	//lint:ignore indextrunc Build caps the node count at MaxNodes (1<<22) before inserting
+	id := int32(g.n)
+	g.labels = append(g.labels, l...)
+	g.n++
+	if 2*g.n > len(g.table) {
+		g.resize(2 * len(g.table))
+	} else {
+		g.table[s] = id + 1
+	}
 	return id
 }
 
-// MemoryFootprint approximates the materialized IPG's resident bytes: the
-// flat per-generator adjacency, the label storage, and the label index
-// (one string key copy plus ~48 bytes of bucket overhead per entry).
-// The serving cache (internal/serve) charges artifacts against its byte
-// budget with this accounting, alongside graph.Graph.MemoryFootprint for
-// the CSR side.
-func (g *Graph) MemoryFootprint() int64 {
-	bytes := int64(len(g.adj)) * 4
-	for _, l := range g.nodes {
-		bytes += int64(len(l))*2 + 24 + 48
+// resize gives the table slots slots (a power of two), rehashes every
+// node into it, and reserves arena and adjacency room for the slots/2
+// nodes it can hold, so all three grow in the same doubling steps.
+func (g *Graph) resize(slots int) {
+	g.table = make([]int32, slots)
+	for v := range g.n {
+		g.table[g.slot(g.Label(v))] = int32(v) + 1 //lint:ignore indextrunc v < g.n <= MaxNodes (1<<22)
 	}
-	return bytes
+	g.labels = slices.Grow(g.labels, slots/2*g.width-len(g.labels))
+	g.adj = slices.Grow(g.adj, slots/2*len(g.Gens)-len(g.adj))
 }
 
-// row returns v's generator-indexed neighbor row as a view into the flat
-// adjacency.
-func (g *Graph) row(v int) []int32 {
-	ng := len(g.Gens)
-	return g.adj[v*ng : (v+1)*ng]
+// MemoryFootprint returns the materialized IPG's resident bytes: the flat
+// per-generator adjacency, the label arena and the label table, each at
+// its capacity.  The serving cache (internal/serve) charges artifacts
+// against its byte budget with this accounting, alongside
+// graph.Graph.MemoryFootprint for the CSR side.
+func (g *Graph) MemoryFootprint() int64 {
+	return int64(cap(g.adj))*4 + int64(cap(g.labels)) + int64(cap(g.table))*4
 }
 
 // N returns the number of nodes.
-func (g *Graph) N() int { return len(g.nodes) }
+func (g *Graph) N() int { return g.n }
 
 // NumGens returns the number of generators (the directed out-degree
 // including self-loops).
@@ -137,20 +196,22 @@ func (g *Graph) Arity(v int) int { return len(g.Gens) }
 // target equals the node (or is negative) as carrying no traffic.
 func (g *Graph) Port(v, p int) int32 { return g.adj[v*len(g.Gens)+p] }
 
-// Label returns the label of node v.  The returned slice is owned by the
-// graph.
-func (g *Graph) Label(v int) perm.Label { return g.nodes[v] }
-
-// NodeID returns the node with the given label, or -1.
-func (g *Graph) NodeID(l perm.Label) int {
-	if id, ok := g.index[string(l)]; ok {
-		return int(id)
-	}
-	return -1
+// Label returns the label of node v: a view into the graph's label arena,
+// capped so that appending to it copies instead of overwriting node v+1.
+// It must not be modified.
+func (g *Graph) Label(v int) perm.Label {
+	end := (v + 1) * g.width
+	return g.labels[v*g.width : end : end]
 }
 
-// Seed returns the node id of the seed label (always 0).
-func (g *Graph) SeedID() int { return 0 }
+// NodeID returns the node with the given label, or -1 when no node has it
+// (including labels of the wrong length).
+func (g *Graph) NodeID(l perm.Label) int {
+	if len(l) != g.width {
+		return -1
+	}
+	return int(g.table[g.slot(l)]) - 1
+}
 
 // Neighbor returns the node reached from v by generator gi.  The result
 // equals v when the generator fixes v's label (self-loop).
@@ -158,18 +219,6 @@ func (g *Graph) Neighbor(v, gi int) int { return int(g.adj[v*len(g.Gens)+gi]) }
 
 // IsLoop reports whether generator gi is a self-loop at v.
 func (g *Graph) IsLoop(v, gi int) bool { return int(g.adj[v*len(g.Gens)+gi]) == v }
-
-// EffectiveDegree returns the number of distinct non-self neighbors of v.
-func (g *Graph) EffectiveDegree(v int) int {
-	row := g.row(v)
-	seen := make(map[int32]bool, len(row))
-	for _, w := range row {
-		if int(w) != v {
-			seen[w] = true
-		}
-	}
-	return len(seen)
-}
 
 // Undirected collapses the IPG into a simple undirected graph (self-loops
 // dropped, parallel edges merged), streaming the generator arcs straight
@@ -189,70 +238,21 @@ func (g *Graph) Undirected() *graph.Graph {
 	})
 }
 
-// ApplyWord applies the generator sequence word (generator indices) to the
-// label x and returns the resulting label.
-func (g *Graph) ApplyWord(x perm.Label, word []int) perm.Label {
-	cur := x.Clone()
-	next := make(perm.Label, len(x))
-	for _, gi := range word {
-		g.Gens[gi].P.ApplyInto(next, cur)
-		cur, next = next, cur
-	}
-	return cur
-}
-
-// WalkWord follows the generator sequence from node v, returning the final
-// node id.
-func (g *Graph) WalkWord(v int, word []int) int {
-	for _, gi := range word {
-		v = int(g.adj[v*len(g.Gens)+gi])
-	}
-	return v
-}
-
-// GeneratorEdgeCount returns, for each generator, the number of non-loop
-// directed edges it contributes.
-func (g *Graph) GeneratorEdgeCount() []int {
-	ng := len(g.Gens)
-	counts := make([]int, ng)
-	for v := 0; v < g.N(); v++ {
-		for gi, w := range g.adj[v*ng : (v+1)*ng] {
-			if int(w) != v {
-				counts[gi]++
-			}
-		}
-	}
-	return counts
-}
-
-// SelfLoopCount returns the total number of (node, generator) pairs where
-// the generator fixes the node.
-func (g *Graph) SelfLoopCount() int {
-	ng := len(g.Gens)
-	loops := 0
-	for v := 0; v < g.N(); v++ {
-		for _, w := range g.adj[v*ng : (v+1)*ng] {
-			if int(w) == v {
-				loops++
-			}
-		}
-	}
-	return loops
-}
-
-// ClustersBy partitions nodes by an arbitrary key of their label and
-// returns (clusterOf, clusterCount).  Super-IPG packages use the suffix
-// beyond the first group as the key, making each cluster one nucleus copy.
-func (g *Graph) ClustersBy(key func(perm.Label) string) ([]int32, int) {
+// ClustersBy partitions nodes by the suffix of their label that starts at
+// offset and returns (clusterOf, clusterCount), numbering clusters in
+// order of first appearance.  Super-IPG packages pass the first group's
+// length, making each cluster one nucleus copy.
+func (g *Graph) ClustersBy(offset int) ([]int32, int) {
 	clusterOf := make([]int32, g.N())
 	idx := make(map[string]int32)
-	for v, l := range g.nodes {
-		k := key(l)
-		id, ok := idx[k]
+	//lint:ignore ctxflow one map lookup per node, at most MaxNodes (1<<22), once per artifact's partition
+	for v := range clusterOf {
+		suffix := g.Label(v)[offset:]
+		id, ok := idx[string(suffix)]
 		if !ok {
 			//lint:ignore indextrunc len(idx) <= g.N() <= MaxNodes (1<<22)
 			id = int32(len(idx))
-			idx[k] = id
+			idx[string(suffix)] = id
 		}
 		clusterOf[v] = id
 	}

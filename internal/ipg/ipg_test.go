@@ -27,8 +27,8 @@ func TestSection2Example(t *testing.T) {
 	if g.N() != 36 {
 		t.Fatalf("paper example: %d nodes, want 36", g.N())
 	}
-	// The three listed neighbors of the seed.
-	seed := g.SeedID()
+	// The three listed neighbors of the seed, which is node 0.
+	seed := 0
 	wantNbrs := []string{"213321", "321321", "321123"}
 	for gi, want := range wantNbrs {
 		nb := g.Neighbor(seed, gi)
@@ -95,27 +95,29 @@ func TestSelfLoops(t *testing.T) {
 		Seed: perm.MustParseLabel("11"),
 		Gens: perm.GenSet{perm.Gen("t", perm.Transposition(2, 0, 1))},
 	})
-	if g.N() != 1 || g.SelfLoopCount() != 1 || g.EffectiveDegree(0) != 0 {
-		t.Errorf("loop graph: n=%d loops=%d deg=%d", g.N(), g.SelfLoopCount(), g.EffectiveDegree(0))
-	}
-	if !g.IsLoop(0, 0) {
-		t.Error("IsLoop should be true")
+	if g.N() != 1 || g.Neighbor(0, 0) != 0 || !g.IsLoop(0, 0) {
+		t.Errorf("loop graph: n=%d, generator 0 leads to %d", g.N(), g.Neighbor(0, 0))
 	}
 }
 
+// TestWalkAndApplyWordAgree walks random generator words along the
+// adjacency and checks that each walk lands on the node whose label the
+// same word produces from the start label.
 func TestWalkAndApplyWordAgree(t *testing.T) {
 	g := MustBuild(section2Spec())
 	r := rand.New(rand.NewSource(5))
+	next := make(perm.Label, len(g.Seed))
 	for trial := 0; trial < 50; trial++ {
 		v := r.Intn(g.N())
-		word := make([]int, r.Intn(8))
-		for i := range word {
-			word[i] = r.Intn(g.NumGens())
+		end, lbl := v, g.Label(v).Clone()
+		for range r.Intn(8) {
+			gi := r.Intn(g.NumGens())
+			end = g.Neighbor(end, gi)
+			g.Gens[gi].P.ApplyInto(next, lbl)
+			lbl, next = next, lbl
 		}
-		end := g.WalkWord(v, word)
-		lbl := g.ApplyWord(g.Label(v), word)
 		if got := g.NodeID(lbl); got != end {
-			t.Fatalf("WalkWord=%d but ApplyWord lands on %d (label %v)", end, got, lbl)
+			t.Fatalf("walk from %d lands on %d, but the word's label %v is node %d", v, end, lbl, got)
 		}
 	}
 }
@@ -125,41 +127,42 @@ func TestNodeID(t *testing.T) {
 	if g.NodeID(perm.MustParseLabel("123321")) != 0 {
 		t.Error("seed should be node 0")
 	}
-	if g.NodeID(perm.MustParseLabel("111111")) != -1 {
-		t.Error("unreachable label should return -1")
+	for _, l := range []string{"111111", "12332", "1233211", ""} {
+		if got := g.NodeID(perm.MustParseLabel(l)); got != -1 {
+			t.Errorf("NodeID(%q) = %d, want -1 (absent or wrong length)", l, got)
+		}
 	}
 }
 
+// TestGeneratorEdgeCount splits each generator of the Section 2 example
+// into edges and self-loops: a loop in the adjacency is exactly a label
+// the generator fixes, and every other node has an edge.  The swaps in
+// the first half fix no reachable label (each half of every node holds
+// 1, 2 and 3 once), and the half-swap 456123 fixes exactly the 6 labels
+// of the form WW, so it contributes N-6 edges.
 func TestGeneratorEdgeCount(t *testing.T) {
 	g := MustBuild(section2Spec())
-	counts := g.GeneratorEdgeCount()
-	totalLoops := 0
-	for gi, c := range counts {
-		// Directed edges plus fixed labels must account for every node.
-		fixed := 0
+	want := []int{0, 0, 6}
+	for gi := range g.Gens {
+		loops := 0
 		for v := 0; v < g.N(); v++ {
-			if g.Gens[gi].P.Fixes(g.Label(v)) {
-				fixed++
+			if g.IsLoop(v, gi) != g.Gens[gi].P.Fixes(g.Label(v)) {
+				t.Fatalf("generator %d at node %d: loop and fixed label disagree", gi, v)
+			}
+			if g.IsLoop(v, gi) {
+				loops++
 			}
 		}
-		if c+fixed != g.N() {
-			t.Errorf("generator %d: %d edges + %d fixed != %d nodes", gi, c, fixed, g.N())
+		if loops != want[gi] {
+			t.Errorf("generator %d has %d self-loops, want %d", gi, loops, want[gi])
 		}
-		totalLoops += fixed
-	}
-	if g.SelfLoopCount() != totalLoops {
-		t.Errorf("SelfLoopCount = %d, want %d", g.SelfLoopCount(), totalLoops)
-	}
-	// The half-swap generator fixes exactly the 6 labels of the form WW.
-	if want := g.N() - 6; counts[2] != want {
-		t.Errorf("half-swap generator contributes %d edges, want %d", counts[2], want)
 	}
 }
 
 func TestClustersBy(t *testing.T) {
 	g := MustBuild(section2Spec())
 	// Cluster on the last 3 symbols: nucleus-like grouping.
-	clusterOf, nc := g.ClustersBy(func(l perm.Label) string { return string(l[3:]) })
+	clusterOf, nc := g.ClustersBy(3)
 	if nc <= 1 || nc >= g.N() {
 		t.Fatalf("implausible cluster count %d", nc)
 	}
@@ -217,4 +220,122 @@ func TestQuickClosureInvariants(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// referenceBuild is the closure as Build computed it before the label
+// arena: one cloned label per node and a map from label to node id.  It
+// numbers nodes in the same BFS order, so a Graph must match it exactly.
+func referenceBuild(spec Spec) (labels []perm.Label, adj []int32) {
+	index := make(map[string]int32)
+	add := func(l perm.Label) int32 {
+		id := int32(len(labels))
+		labels = append(labels, l.Clone())
+		index[string(l)] = id
+		return id
+	}
+	add(spec.Seed)
+	scratch := make(perm.Label, len(spec.Seed))
+	for head := 0; head < len(labels); head++ {
+		for _, gen := range spec.Gens {
+			gen.P.ApplyInto(scratch, labels[head])
+			id, ok := index[string(scratch)]
+			if !ok {
+				id = add(scratch)
+			}
+			adj = append(adj, id)
+		}
+	}
+	return labels, adj
+}
+
+// CheckAgainstReference builds spec with Build and with referenceBuild
+// and fails t unless both give the same node count, label order and
+// adjacency, and NodeID inverts Label on every node.  It is exported to
+// this directory's external tests, which build super-IPG specs.
+func CheckAgainstReference(t testing.TB, spec Spec) {
+	t.Helper()
+	g, err := Build(spec)
+	if err != nil {
+		t.Fatalf("%s: %v", spec.Name, err)
+	}
+	labels, adj := referenceBuild(spec)
+	if g.N() != len(labels) {
+		t.Fatalf("%s: %d nodes, reference has %d", spec.Name, g.N(), len(labels))
+	}
+	for v, want := range labels {
+		if !g.Label(v).Equal(want) {
+			t.Fatalf("%s: node %d has label %v, reference %v", spec.Name, v, g.Label(v), want)
+		}
+		if got := g.NodeID(want); got != v {
+			t.Fatalf("%s: NodeID(Label(%d)) = %d", spec.Name, v, got)
+		}
+		for gi := range spec.Gens {
+			if got, want := g.Neighbor(v, gi), int(adj[v*len(spec.Gens)+gi]); got != want {
+				t.Fatalf("%s: generator %d at node %d leads to %d, reference %d", spec.Name, gi, v, got, want)
+			}
+		}
+	}
+}
+
+// starSpec is the star graph S_n: seed 12…n, transpositions (1 i).
+func starSpec(n int) Spec {
+	seed := make(perm.Label, n)
+	gens := perm.GenSet{}
+	for i := range seed {
+		seed[i] = byte(i + 1)
+		if i > 0 {
+			gens = append(gens, perm.Gen("t", perm.Transposition(n, 0, i)))
+		}
+	}
+	return Spec{Name: "star", Seed: seed, Gens: gens}
+}
+
+// TestBuildMatchesReference compares the arena closure with the map-based
+// reference on the Section 2 example and on S_6, whose 720 nodes regrow
+// the label table five times.
+func TestBuildMatchesReference(t *testing.T) {
+	CheckAgainstReference(t, section2Spec())
+	CheckAgainstReference(t, starSpec(6))
+	if n := MustBuild(starSpec(6)).N(); n != 720 {
+		t.Fatalf("S_6 has %d nodes, want 720", n)
+	}
+}
+
+// TestLabelIsCappedView checks that appending to a returned label copies
+// it instead of writing over the next node's label in the arena.
+func TestLabelIsCappedView(t *testing.T) {
+	g := MustBuild(section2Spec())
+	next := g.Label(1).Clone()
+	_ = append(g.Label(0), 9, 9, 9)
+	if !g.Label(1).Equal(next) {
+		t.Fatalf("appending to Label(0) changed Label(1) from %v to %v", next, g.Label(1))
+	}
+	if cap(g.Label(0)) != len(g.Seed) {
+		t.Fatalf("Label(0) has capacity %d, want %d", cap(g.Label(0)), len(g.Seed))
+	}
+}
+
+// FuzzBuild compares Build with the reference closure on random seeds of
+// up to 7 symbols, each reduced mod 4 so that symbols repeat, and on
+// random sets of 1 to 8 generators.
+func FuzzBuild(f *testing.F) {
+	f.Add([]byte("123321"), uint8(3), int64(1))
+	f.Add([]byte("1234"), uint8(8), int64(2))
+	f.Add([]byte("11"), uint8(1), int64(3))
+	f.Add([]byte("a"), uint8(0), int64(4))
+	f.Add([]byte{}, uint8(2), int64(5))
+	f.Fuzz(func(t *testing.T, seed []byte, ngens uint8, genSeed int64) {
+		if len(seed) > 7 {
+			return
+		}
+		spec := Spec{Name: "fuzz", Seed: make(perm.Label, len(seed))}
+		for i, s := range seed {
+			spec.Seed[i] = s % 4
+		}
+		r := rand.New(rand.NewSource(genSeed))
+		for range 1 + int(ngens)%8 {
+			spec.Gens = append(spec.Gens, perm.Gen("g", perm.Random(r, len(seed))))
+		}
+		CheckAgainstReference(t, spec)
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -217,11 +218,15 @@ func buildCallGraph(fset *token.FileSet, pkgs []*Package) *CallGraph {
 	// resolve to the set of functions ever stored there.  Targets are
 	// keyed by declaration position, so a binding written in cmd/ipgd to
 	// a field declared in internal/serve lands on the same key the
-	// serve-side call through that field looks up.
+	// serve-side call through that field looks up.  A target assigned
+	// from another func-typed variable or field (h := t.hook) inherits
+	// that object's bindings, closed to a fixpoint over chains of copies.
 	bindings := make(map[string][]*Func)
+	copies := make(map[string][]string)
 	for _, pkg := range pkgs {
-		collectFuncBindings(fset, pkg, g, byObj, bindings)
+		collectFuncBindings(fset, pkg, g, byObj, bindings, copies)
 	}
+	closeCopies(bindings, copies)
 
 	// Pass 3: resolve call sites.
 	res := &callResolver{fset: fset, g: g, byObj: byObj, bindings: bindings, pkgs: pkgs}
@@ -316,8 +321,10 @@ func declName(pkg *Package, fd *ast.FuncDecl) string {
 }
 
 // collectFuncBindings scans one package for expressions that store a
-// function value into a variable, field, or parameter.
-func collectFuncBindings(fset *token.FileSet, pkg *Package, g *CallGraph, byObj map[string]*Func, bindings map[string][]*Func) {
+// function value into a variable, field, or parameter, and records in
+// copies[target] the func-typed variables and fields whose value is
+// stored there instead.
+func collectFuncBindings(fset *token.FileSet, pkg *Package, g *CallGraph, byObj map[string]*Func, bindings map[string][]*Func, copies map[string][]string) {
 	funcValueOf := func(e ast.Expr) *Func {
 		e = ast.Unparen(e)
 		switch e := e.(type) {
@@ -334,6 +341,25 @@ func collectFuncBindings(fset *token.FileSet, pkg *Package, g *CallGraph, byObj 
 		}
 		return nil
 	}
+	// funcVarOf returns the func-typed variable or field an expression
+	// reads, or nil.
+	funcVarOf := func(e ast.Expr) types.Object {
+		var id *ast.Ident
+		switch e := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			id = e
+		case *ast.SelectorExpr:
+			id = e.Sel
+		default:
+			return nil
+		}
+		if v, ok := pkg.Info.Uses[id].(*types.Var); ok {
+			if _, isFunc := v.Type().Underlying().(*types.Signature); isFunc {
+				return v
+			}
+		}
+		return nil
+	}
 	bind := func(target types.Object, val ast.Expr) {
 		k := posKey(fset, target)
 		if k == "" {
@@ -341,6 +367,8 @@ func collectFuncBindings(fset *token.FileSet, pkg *Package, g *CallGraph, byObj 
 		}
 		if f := funcValueOf(val); f != nil {
 			bindings[k] = append(bindings[k], f)
+		} else if src := posKey(fset, funcVarOf(val)); src != "" && src != k {
+			copies[k] = append(copies[k], src)
 		}
 	}
 	lhsObj := func(e ast.Expr) types.Object {
@@ -396,6 +424,30 @@ func collectFuncBindings(fset *token.FileSet, pkg *Package, g *CallGraph, byObj 
 			}
 			return true
 		})
+	}
+}
+
+// closeCopies adds to every copy target the bindings of its sources,
+// repeating until no target gains a function, so a chain of copies
+// (a := t.hook; b := a) carries the functions all the way along.
+func closeCopies(bindings map[string][]*Func, copies map[string][]string) {
+	dsts := make([]string, 0, len(copies))
+	for dst := range copies {
+		dsts = append(dsts, dst)
+	}
+	sort.Strings(dsts) // a fixed order keeps every callee list deterministic
+	for changed := true; changed; {
+		changed = false
+		for _, dst := range dsts {
+			for _, src := range copies[dst] {
+				for _, f := range bindings[src] {
+					if !slices.Contains(bindings[dst], f) {
+						bindings[dst] = append(bindings[dst], f)
+						changed = true
+					}
+				}
+			}
+		}
 	}
 }
 

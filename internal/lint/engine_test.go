@@ -37,7 +37,8 @@ func findFunc(t *testing.T, prog *Program, name string) *Func {
 // TestCallGraphGolden pins the full edge set of the fixture, one edge per
 // resolution mode: direct call, method call, binding through a func-valued
 // field, immediate literal invocation, literal nesting, interface
-// dispatch, a deferred call, and a literal bound in a package-level table.
+// dispatch, a deferred call, a literal bound in a package-level table, and
+// a call through a local copied from a func-valued field.
 func TestCallGraphGolden(t *testing.T) {
 	prog := loadEngineFixture(t)
 	got := prog.CallGraph().EdgeStrings()
@@ -45,6 +46,8 @@ func TestCallGraphGolden(t *testing.T) {
 		"cg.(Ops).run -> cg.leaf",
 		"cg.(Ops).run -> cg.table$1",
 		"cg.DeferShape -> cg.leaf",
+		"cg.Local -> cg.leaf",
+		"cg.Local -> cg.table$1",
 		"cg.Lookup -> cg.leaf",
 		"cg.Lookup -> cg.table$1",
 		"cg.Through -> cg.(A).Str",

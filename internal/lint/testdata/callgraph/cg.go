@@ -1,8 +1,9 @@
 // Package cg is the fixture for the call-graph golden test and the CFG
 // shape tests: a small web covering every resolution mode (direct call,
 // method call, func-value binding through a struct field, immediate
-// literal, interface dispatch, a literal in a package-level table) plus
-// functions whose bodies exercise each CFG lowering.
+// literal, interface dispatch, a literal in a package-level table, a
+// local copied from a func-valued field) plus functions whose bodies
+// exercise each CFG lowering.
 package cg
 
 // Ops carries a func-valued field so the binding-based resolution has
@@ -29,6 +30,13 @@ var table = map[string]Ops{"leaf": {hook: func() { leaf() }}}
 
 // Lookup calls through the package-level table.
 func Lookup() { table["leaf"].hook() }
+
+// Local calls through a local copied from the table's func-valued field:
+// the local inherits every function bound to the field.
+func Local() {
+	h := table["leaf"].hook
+	h()
+}
 
 // Stringer is implemented by exactly one type, so the interface call in
 // Through resolves to a single edge.

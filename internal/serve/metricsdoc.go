@@ -277,11 +277,12 @@ func (a *Artifact) superMetrics(ctx context.Context) (*SuperMetrics, error) {
 		}
 	}
 	if a.Materialized() {
-		links := w.InterclusterLinks(a.G)
-		deg := w.InterclusterDegree(a.G)
+		clusterOf, nc := w.Clusters(a.G)
+		links := w.InterclusterLinks(a.U, clusterOf)
+		deg := w.InterclusterDegree(a.G, clusterOf, nc)
 		sm.InterclusterLinks = &links
 		sm.InterclusterDegree = &deg
-		d, avg, err := w.InterclusterDistances(ctx, a.G)
+		d, avg, err := w.InterclusterDistances(ctx, a.G, clusterOf, nc)
 		if err != nil {
 			return nil, err
 		}

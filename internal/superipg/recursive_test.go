@@ -32,7 +32,8 @@ func TestRHSNStructure(t *testing.T) {
 	if tVal != 1 {
 		t.Errorf("RHSN t = %d, want 1", tVal)
 	}
-	if d, _, _ := w.InterclusterDistances(context.Background(), g); d != 1 {
+	clusterOf, nc := w.Clusters(g)
+	if d, _, _ := w.InterclusterDistances(context.Background(), g, clusterOf, nc); d != 1 {
 		t.Errorf("measured intercluster diameter = %d, want 1", d)
 	}
 	// Corollary 4.4: symmetric diameter 2l-2 = 2.
@@ -86,7 +87,8 @@ func TestHFN(t *testing.T) {
 	if _, max, _ := u.DegreeStats(); max != 5 {
 		t.Errorf("HFN(3,3) max degree = %d, want 5", max)
 	}
-	if d, _, _ := w.InterclusterDistances(context.Background(), g); d != 1 {
+	clusterOf, nc := w.Clusters(g)
+	if d, _, _ := w.InterclusterDistances(context.Background(), g, clusterOf, nc); d != 1 {
 		t.Errorf("HFN intercluster diameter = %d, want 1", d)
 	}
 }

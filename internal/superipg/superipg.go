@@ -353,20 +353,20 @@ func (w *Network) LabelOf(addr int) (perm.Label, error) {
 // the first group.  Nodes with equal suffixes form one nucleus copy.
 func (w *Network) ClusterKey(l perm.Label) string { return string(l[w.SymbolLen():]) }
 
-// Clusters partitions the materialized graph into nucleus copies.
-func (w *Network) Clusters(g *ipg.Graph) ([]int32, int) {
-	m := w.SymbolLen()
-	return g.ClustersBy(func(l perm.Label) string { return string(l[m:]) })
+// Clusters partitions the materialized graph into nucleus copies: node v
+// lies in cluster clusterOf[v] of nc.  The intercluster measures below
+// take this partition, so one computation can share it.
+func (w *Network) Clusters(g *ipg.Graph) (clusterOf []int32, nc int) {
+	return g.ClustersBy(w.SymbolLen())
 }
 
-// Quotient returns the cluster graph: one vertex per cluster, an edge
-// between two clusters when some super-generator link joins them.  Because
-// every cluster is a connected nucleus copy and on-chip moves are free, the
-// intercluster distance between two nodes equals the quotient distance
-// between their clusters.
-func (w *Network) Quotient(g *ipg.Graph) (*graph.Graph, []int32) {
-	clusterOf, nc := w.Clusters(g)
-	q := graph.FromStream(nc, func(edge func(u, v int)) {
+// Quotient returns the cluster graph of g under its partition (Clusters):
+// one vertex per cluster, an edge between two clusters when some
+// super-generator link joins them.  Because every cluster is a connected
+// nucleus copy and on-chip moves are free, the intercluster distance
+// between two nodes equals the quotient distance between their clusters.
+func (w *Network) Quotient(g *ipg.Graph, clusterOf []int32, nc int) *graph.Graph {
+	return graph.FromStream(nc, func(edge func(u, v int)) {
 		for v := 0; v < g.N(); v++ {
 			for gi := w.nNuc; gi < len(w.gens); gi++ {
 				u := g.Neighbor(v, gi)
@@ -376,7 +376,6 @@ func (w *Network) Quotient(g *ipg.Graph) (*graph.Graph, []int32) {
 			}
 		}
 	})
-	return q, clusterOf
 }
 
 // InterclusterDistances returns, from one sweep of the quotient graph, the
@@ -385,9 +384,8 @@ func (w *Network) Quotient(g *ipg.Graph) (*graph.Graph, []int32) {
 // self-pairs (the paper's convention).  Because all clusters have exactly
 // M nodes, the average equals the quotient graph's average distance.  The
 // error is ctx's, if it ends first.
-func (w *Network) InterclusterDistances(ctx context.Context, g *ipg.Graph) (diameter int, avg float64, err error) {
-	q, _ := w.Quotient(g)
-	return graph.Distances(ctx, q)
+func (w *Network) InterclusterDistances(ctx context.Context, g *ipg.Graph, clusterOf []int32, nc int) (diameter int, avg float64, err error) {
+	return graph.Distances(ctx, w.Quotient(g, clusterOf, nc))
 }
 
 // DirectedInterclusterDiameter computes the intercluster diameter of a
@@ -428,33 +426,25 @@ func (w *Network) DirectedInterclusterDiameter(g *ipg.Graph) int {
 }
 
 // InterclusterLinks returns the total number of undirected intercluster
-// links in the materialized graph (super-generator edges between distinct
-// clusters, self-loops excluded).
-func (w *Network) InterclusterLinks(g *ipg.Graph) int {
-	clusterOf, _ := w.Clusters(g)
-	seen := make(map[[2]int32]bool)
-	for v := 0; v < g.N(); v++ {
-		for gi := w.nNuc; gi < len(w.gens); gi++ {
-			u := g.Neighbor(v, gi)
-			if u == v || clusterOf[u] == clusterOf[v] {
-				continue
-			}
-			//lint:ignore indextrunc node ids are < g.N() <= ipg.MaxNodes (1<<22)
-			a, b := int32(v), int32(u)
-			if a > b {
-				a, b = b, a
-			}
-			seen[[2]int32{a, b}] = true
+// links of a materialized graph: the edges of its undirected graph u
+// (Undirected) that join distinct clusters of the partition clusterOf
+// (Clusters).  Nucleus generators move only the first group, so every
+// such edge is a super-generator link, and u has already merged the
+// generator pairs that join the same two nodes.
+func (w *Network) InterclusterLinks(u *graph.Graph, clusterOf []int32) int {
+	links := 0
+	u.Edges(func(a, b int) {
+		if clusterOf[a] != clusterOf[b] {
+			links++
 		}
-	}
-	return len(seen)
+	})
+	return links
 }
 
-// InterclusterDegree returns the paper's intercluster degree: the maximum
-// over clusters of the average number of intercluster links per node of
-// the cluster.
-func (w *Network) InterclusterDegree(g *ipg.Graph) float64 {
-	clusterOf, nc := w.Clusters(g)
+// InterclusterDegree returns the paper's intercluster degree of g under
+// its partition (Clusters): the maximum over clusters of the average
+// number of intercluster links per node of the cluster.
+func (w *Network) InterclusterDegree(g *ipg.Graph, clusterOf []int32, nc int) float64 {
 	linkEnds := make([]int, nc)
 	for v := 0; v < g.N(); v++ {
 		for gi := w.nNuc; gi < len(w.gens); gi++ {

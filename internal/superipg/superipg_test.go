@@ -42,19 +42,19 @@ func TestHSNQ4MatchesPaperNumbers(t *testing.T) {
 	if g.N() != 4096 {
 		t.Fatalf("HSN(3,Q4) has %d nodes, want 4096", g.N())
 	}
-	_, nc := w.Clusters(g)
+	clusterOf, nc := w.Clusters(g)
 	if nc != 256 {
 		t.Fatalf("HSN(3,Q4) has %d clusters, want 256", nc)
 	}
-	links := w.InterclusterLinks(g)
+	links := w.InterclusterLinks(g.Undirected(), clusterOf)
 	// 30 links per cluster, each link touches 2 clusters: 256*30/2 = 3840.
 	if links != 3840 {
 		t.Errorf("total intercluster links = %d, want 3840", links)
 	}
-	if d := w.InterclusterDegree(g); d != 30.0/16.0 {
+	if d := w.InterclusterDegree(g, clusterOf, nc); d != 30.0/16.0 {
 		t.Errorf("intercluster degree = %v, want 1.875", d)
 	}
-	d, a, err := w.InterclusterDistances(context.Background(), g)
+	d, a, err := w.InterclusterDistances(context.Background(), g, clusterOf, nc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,8 @@ func TestInterclusterTMatchesMeasuredDiameter(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, _, _ := w.InterclusterDistances(context.Background(), g); got != tVal {
+			clusterOf, nc := w.Clusters(g)
+			if got, _, _ := w.InterclusterDistances(context.Background(), g, clusterOf, nc); got != tVal {
 				t.Errorf("%s: measured intercluster diameter %d != t %d", w.Name(), got, tVal)
 			}
 		}
@@ -327,7 +328,8 @@ func TestQuotientStructureHSN2(t *testing.T) {
 	// the complete graph K_M.
 	w := HSN(2, nucleus.Hypercube(2))
 	g := w.MustBuild()
-	q, _ := w.Quotient(g)
+	clusterOf, nc := w.Clusters(g)
+	q := w.Quotient(g, clusterOf, nc)
 	if q.N() != 4 || q.M() != 6 {
 		t.Errorf("HSN(2,Q2) quotient: n=%d m=%d, want K4", q.N(), q.M())
 	}
@@ -349,7 +351,8 @@ func TestDirectedInterclusterDiameter(t *testing.T) {
 	// Undirected families agree with the symmetric computation.
 	w := HSN(3, nucleus.Hypercube(2))
 	g := w.MustBuild()
-	ud, _, _ := w.InterclusterDistances(context.Background(), g)
+	clusterOf, nc := w.Clusters(g)
+	ud, _, _ := w.InterclusterDistances(context.Background(), g, clusterOf, nc)
 	if d := w.DirectedInterclusterDiameter(g); d != ud {
 		t.Errorf("directed and undirected quotient diameters disagree on HSN: %d", d)
 	}
@@ -367,7 +370,8 @@ func TestStarNucleusSuperIPG(t *testing.T) {
 	if g.N() != 36 {
 		t.Fatalf("HSN(2,S3): %d nodes, want 36", g.N())
 	}
-	if d, _, _ := w.InterclusterDistances(context.Background(), g); d != 1 {
+	clusterOf, nc := w.Clusters(g)
+	if d, _, _ := w.InterclusterDistances(context.Background(), g, clusterOf, nc); d != 1 {
 		t.Errorf("intercluster diameter %d, want 1", d)
 	}
 	tv, err := w.InterclusterT()
