@@ -67,10 +67,13 @@ func GrayCode(n int) int { return n ^ (n >> 1) }
 // via the binary reflected Gray code.
 func Ring(d int) *Embedding {
 	n := 1 << d
-	g := graph.New(n)
+	g := graph.FromStream(n, func(edge func(u, v int)) {
+		for i := 0; i < n; i++ {
+			edge(i, (i+1)%n)
+		}
+	})
 	m := make([]int, n)
-	for i := 0; i < n; i++ {
-		g.AddEdge(i, (i+1)%n)
+	for i := range m {
 		m[i] = GrayCode(i)
 	}
 	return &Embedding{GuestName: fmt.Sprintf("ring(%d)", n), Guest: g, Map: m}
@@ -81,23 +84,26 @@ func Ring(d int) *Embedding {
 func Mesh(a, b int, wrap bool) *Embedding {
 	rows, cols := 1<<a, 1<<b
 	n := rows * cols
-	g := graph.New(n)
-	m := make([]int, n)
 	id := func(r, c int) int { return r*cols + c }
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if c+1 < cols {
-				g.AddEdge(id(r, c), id(r, c+1))
-			} else if wrap && cols > 2 {
-				g.AddEdge(id(r, c), id(r, 0))
+	g := graph.FromStream(n, func(edge func(u, v int)) {
+		for r := 0; r < rows; r++ {
+			for c := 0; c < cols; c++ {
+				if c+1 < cols {
+					edge(id(r, c), id(r, c+1))
+				} else if wrap && cols > 2 {
+					edge(id(r, c), id(r, 0))
+				}
+				if r+1 < rows {
+					edge(id(r, c), id(r+1, c))
+				} else if wrap && rows > 2 {
+					edge(id(r, c), id(0, c))
+				}
 			}
-			if r+1 < rows {
-				g.AddEdge(id(r, c), id(r+1, c))
-			} else if wrap && rows > 2 {
-				g.AddEdge(id(r, c), id(0, c))
-			}
-			m[id(r, c)] = GrayCode(r)<<b | GrayCode(c)
 		}
+	})
+	m := make([]int, n)
+	for v := range m {
+		m[v] = GrayCode(v/cols)<<b | GrayCode(v%cols)
 	}
 	kind := "mesh"
 	if wrap {
@@ -112,16 +118,20 @@ func Mesh(a, b int, wrap bool) *Embedding {
 // two hypercube steps at the root levels).
 func CompleteBinaryTree(d int) *Embedding {
 	n := 1<<d - 1
-	g := graph.New(n)
+	// Heap indexing 1..n: node h's children are 2h and 2h+1.
+	g := graph.FromStream(n, func(edge func(u, v int)) {
+		for heap := 1; 2*heap <= n; heap++ {
+			edge(heap-1, 2*heap-1)
+			edge(heap-1, 2*heap)
+		}
+	})
 	m := make([]int, n)
-	// Heap indexing 1..n; inorder position of heap node i at depth k.
+	// Inorder position of each heap node.
 	var inorder func(heap, lo, hi int)
 	inorder = func(heap, lo, hi int) {
 		mid := (lo + hi) / 2
 		m[heap-1] = mid
 		if 2*heap <= n {
-			g.AddEdge(heap-1, 2*heap-1)
-			g.AddEdge(heap-1, 2*heap)
 			inorder(2*heap, lo, mid-1)
 			inorder(2*heap+1, mid+1, hi)
 		}

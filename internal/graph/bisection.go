@@ -72,7 +72,7 @@ func (g *Graph) RefineBisection(start []int8, maxRounds int) ([]int8, int) {
 	recompute := func() {
 		for v := 0; v < n; v++ {
 			ext, in := 0, 0
-			for _, w := range g.row(v) {
+			for _, w := range g.csr.Row(v) {
 				if side[w] != side[v] {
 					ext++
 				} else {

@@ -9,14 +9,14 @@ import (
 // vertices plus deterministic chords, so its metrics are nontrivial and
 // identical across runs.
 func buildDeterministic(n int) *Graph {
-	g := New(n)
-	for v := 0; v < n; v++ {
-		g.AddEdge(v, (v+1)%n)
-	}
-	for v := 0; v < n; v += 7 {
-		g.AddEdge(v, (v*3+11)%n)
-	}
-	return g
+	return FromStream(n, func(edge func(u, v int)) {
+		for v := 0; v < n; v++ {
+			edge(v, (v+1)%n)
+		}
+		for v := 0; v < n; v += 7 {
+			edge(v, (v*3+11)%n)
+		}
+	})
 }
 
 // TestParallelMetricsDeterministic checks that the source-parallel
@@ -48,9 +48,7 @@ func TestParallelMetricsDeterministic(t *testing.T) {
 // TestParallelMetricsDisconnected checks the disconnected sentinel is
 // stable across worker counts too.
 func TestParallelMetricsDisconnected(t *testing.T) {
-	g := New(10)
-	g.AddEdge(0, 1)
-	g.AddEdge(2, 3)
+	g := fromEdges(10, [2]int{0, 1}, [2]int{2, 3})
 
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)

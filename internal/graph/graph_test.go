@@ -9,37 +9,38 @@ import (
 	"testing/quick"
 )
 
+// fromEdges builds a graph on n vertices from an edge list.
+func fromEdges(n int, edges ...[2]int) *Graph {
+	return FromStream(n, func(edge func(u, v int)) {
+		for _, e := range edges {
+			edge(e[0], e[1])
+		}
+	})
+}
+
 // ring returns the cycle graph C_n.
 func ring(n int) *Graph {
-	g := New(n)
-	for i := 0; i < n; i++ {
-		g.AddEdge(i, (i+1)%n)
-	}
-	return g
+	return FromStream(n, func(edge func(u, v int)) {
+		for i := 0; i < n; i++ {
+			edge(i, (i+1)%n)
+		}
+	})
 }
 
 // complete returns K_n.
 func complete(n int) *Graph {
-	g := New(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			g.AddEdge(i, j)
+	return FromStream(n, func(edge func(u, v int)) {
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				edge(i, j)
+			}
 		}
-	}
-	return g
+	})
 }
 
 func TestBasicEdgeOps(t *testing.T) {
-	g := New(4)
-	if !g.AddEdge(0, 1) || !g.AddEdge(1, 2) {
-		t.Fatal("fresh edges should be added")
-	}
-	if g.AddEdge(1, 0) {
-		t.Error("duplicate edge added")
-	}
-	if g.AddEdge(2, 2) {
-		t.Error("self-loop added")
-	}
+	// The duplicate {1,0} and the self-loop {2,2} collapse.
+	g := fromEdges(4, [2]int{0, 1}, [2]int{1, 2}, [2]int{1, 0}, [2]int{2, 2})
 	if g.M() != 2 {
 		t.Errorf("M = %d, want 2", g.M())
 	}
@@ -79,9 +80,7 @@ func TestCompleteMetrics(t *testing.T) {
 }
 
 func TestDisconnected(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(2, 3)
+	g := fromEdges(4, [2]int{0, 1}, [2]int{2, 3})
 	if g.Connected() {
 		t.Error("should be disconnected")
 	}
@@ -138,8 +137,7 @@ func TestPowerIsHypercube(t *testing.T) {
 }
 
 func TestDegreeStats(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
+	g := fromEdges(3, [2]int{0, 1})
 	min, max, avg := g.DegreeStats()
 	if min != 0 || max != 1 || avg != 2.0/3.0 {
 		t.Errorf("stats = %d,%d,%v", min, max, avg)
@@ -221,7 +219,10 @@ func TestEqual(t *testing.T) {
 	if !Equal(a, b) {
 		t.Error("identical rings should be Equal")
 	}
-	b.AddEdge(0, 2)
+	b = FromStream(5, func(edge func(u, v int)) {
+		a.Edges(edge)
+		edge(0, 2)
+	})
 	if Equal(a, b) {
 		t.Error("different graphs Equal")
 	}
@@ -254,12 +255,5 @@ func TestWriteDOT(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "0 -- 1") {
 		t.Error("plain DOT missing edges")
-	}
-}
-
-func TestDiameterFromSample(t *testing.T) {
-	g := ring(10)
-	if d := g.DiameterFromSample([]int{0}); d != 5 {
-		t.Errorf("sampled diameter = %d, want 5", d)
 	}
 }

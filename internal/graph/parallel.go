@@ -51,7 +51,7 @@ func Distances(ctx context.Context, src topo.Source) (diameter int, avg float64,
 		// Sweep the arena itself so the kernels read rows in place; the
 		// orbit mark lives on the Graph, hence read first.
 		reps = g.reps
-		src = g.ensure()
+		src = g.csr
 	} else if topo.SourceTransitive(src) {
 		reps = oneOrbit
 	}

@@ -36,17 +36,14 @@ func TestParallelMatchesSerial(t *testing.T) {
 }
 
 func TestParallelDisconnected(t *testing.T) {
-	g := New(6)
-	g.AddEdge(0, 1)
-	g.AddEdge(2, 3)
-	g.AddEdge(4, 5)
+	g := fromEdges(6, [2]int{0, 1}, [2]int{2, 3}, [2]int{4, 5})
 	if d, a := distances(t, g); d != -1 || a != -1 {
 		t.Errorf("disconnected diameter/avg = %d/%v, want -1/-1", d, a)
 	}
 }
 
 func TestParallelEmpty(t *testing.T) {
-	g := New(0)
+	g := fromEdges(0)
 	if d, a := distances(t, g); d != 0 || a != 0 {
 		t.Errorf("empty graph diameter/avg = %d/%v, want 0/0", d, a)
 	}
@@ -56,14 +53,15 @@ func TestQuickParallelRandomGraphs(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw%40) + 2
 		r := rand.New(rand.NewSource(seed))
-		g := New(n)
 		// Random spanning structure plus noise edges for connectivity.
+		var edges [][2]int
 		for v := 1; v < n; v++ {
-			g.AddEdge(v, r.Intn(v))
+			edges = append(edges, [2]int{v, r.Intn(v)})
 		}
 		for e := 0; e < n/2; e++ {
-			g.AddEdge(r.Intn(n), r.Intn(n))
+			edges = append(edges, [2]int{r.Intn(n), r.Intn(n)})
 		}
+		g := fromEdges(n, edges...)
 		d, a := distances(t, g)
 		return d == g.Diameter() && a == g.AverageDistance()
 	}

@@ -16,7 +16,7 @@ import (
 // lapApply computes y = L x for the graph Laplacian L = D - A.
 func (g *Graph) lapApply(x, y []float64) {
 	for v := 0; v < g.N(); v++ {
-		row := g.row(v)
+		row := g.csr.Row(v)
 		sum := float64(len(row)) * x[v]
 		for _, w := range row {
 			sum -= x[w]

@@ -49,13 +49,11 @@ func TestSpectralBisectionBound(t *testing.T) {
 }
 
 func TestAlgebraicConnectivityEdgeCases(t *testing.T) {
-	if _, err := New(1).AlgebraicConnectivity(1, 1e-9, 100); err == nil {
+	if _, err := fromEdges(1).AlgebraicConnectivity(1, 1e-9, 100); err == nil {
 		t.Error("single vertex should error")
 	}
 	// Disconnected: lambda2 = 0.
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(2, 3)
+	g := fromEdges(4, [2]int{0, 1}, [2]int{2, 3})
 	got, err := g.AlgebraicConnectivity(1, 1e-12, 20000)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +62,7 @@ func TestAlgebraicConnectivityEdgeCases(t *testing.T) {
 		t.Errorf("disconnected lambda2 = %v, want ~0", got)
 	}
 	// Edgeless graph.
-	if l2, err := New(3).AlgebraicConnectivity(1, 1e-9, 10); err != nil || l2 != 0 {
+	if l2, err := fromEdges(3).AlgebraicConnectivity(1, 1e-9, 10); err != nil || l2 != 0 {
 		t.Errorf("edgeless lambda2 = %v, %v", l2, err)
 	}
 }

@@ -121,14 +121,13 @@ func (c *Clustered) InterclusterDegree() float64 {
 // Quotient returns the chip graph: one vertex per chip, an edge between
 // chips joined by at least one link.
 func (c *Clustered) Quotient() *graph.Graph {
-	q := graph.New(c.Chips)
-	c.G.Edges(func(u, v int) {
-		cu, cv := c.ClusterOf[u], c.ClusterOf[v]
-		if cu != cv {
-			q.AddEdge(int(cu), int(cv))
-		}
+	// A link inside a chip is a self-loop of the quotient, which the
+	// builder drops.
+	return graph.FromStream(c.Chips, func(edge func(u, v int)) {
+		c.G.Edges(func(u, v int) {
+			edge(int(c.ClusterOf[u]), int(c.ClusterOf[v]))
+		})
 	})
-	return q
 }
 
 // InterclusterDistances returns the maximum intercluster distance between

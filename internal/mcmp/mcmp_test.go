@@ -299,8 +299,7 @@ func TestRefinerCannotBeatStructuredHSNCut(t *testing.T) {
 }
 
 func TestNewClusteredValidation(t *testing.T) {
-	g := graph.New(4)
-	g.AddEdge(0, 1)
+	g := graph.FromStream(4, func(edge func(u, v int)) { edge(0, 1) })
 	if _, err := NewClustered("bad", g, []int32{0, 0, 1}); err == nil {
 		t.Error("length mismatch should error")
 	}

@@ -108,3 +108,32 @@ func TestStaticErrorEnvelopeZeroAllocs(t *testing.T) {
 		t.Errorf("saturated error envelope: %.2f allocs/op, want 0", allocs)
 	}
 }
+
+// TestQueryDecodeZeroAllocs holds the one-pass query decode, family
+// validation included, at zero allocations on escape-free queries shaped
+// like perfbench's route, multipath, simulate and faulted-metrics
+// requests.
+func TestQueryDecodeZeroAllocs(t *testing.T) {
+	for _, target := range []string{
+		"/v1/route?net=hsn&l=3&nucleus=q3&src=5&dst=77",
+		"/v1/route?net=torus&k=8&side=2&src=3&dst=60&multipath=3",
+		"/v1/simulate?net=hsn&l=3&nucleus=q2&workload=random&seed=2&rate=0.1&warmup=10&measure=40&faults=2&fmode=node&fseed=1&frouting=aware",
+		"/v1/simulate?net=hypercube&dim=8&logm=2&workload=te&seed=1",
+		"/v1/metrics?net=sfn&l=3&nucleus=q2&faults=4&fmode=link&fseed=2",
+	} {
+		req := httptest.NewRequest(http.MethodGet, target, nil)
+		var q query
+		allocs := testing.AllocsPerRun(200, func() {
+			var err error
+			if q, err = requestQuery(req); err != nil {
+				t.Fatalf("%s: %v", target, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %.2f allocs/op, want 0", target, allocs)
+		}
+		if q.vals == ([numEndpointParams]string{}) {
+			t.Errorf("%s: decoded no endpoint parameter", target)
+		}
+	}
+}

@@ -142,7 +142,7 @@ func BuildArtifact(ctx context.Context, p Params, maxNodes int) (*Artifact, erro
 // The context is checked between the build stages; the construction
 // kernels themselves are uninterruptible but bounded by maxNodes.
 func BuildArtifactThreshold(ctx context.Context, p Params, maxNodes, implicitOver int) (*Artifact, error) {
-	if err := p.Check(nil); err != nil {
+	if err := p.CheckProvided(0); err != nil {
 		return nil, err
 	}
 	if maxNodes <= 0 || maxNodes > topology.MaxNodes {

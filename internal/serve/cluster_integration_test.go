@@ -86,11 +86,7 @@ var goldenQueries = []string{
 
 func goldenKey(t *testing.T, query string) string {
 	t.Helper()
-	q, err := url.ParseQuery(query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, _, err := ParamsFromQuery(q)
+	p, _, err := ParamsFromRawQuery(query)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -222,7 +222,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) error {
 		resp.Forwarded = s.metrics.clusterForwarded.Load()
 		resp.LocalFallbacks = s.metrics.clusterLocalFallbacks.Load()
 		resp.LocalBuilds = s.metrics.localBuilds()
-		if key := r.URL.Query().Get("key"); key != "" {
+		if key := decodeQuery(r.URL.RawQuery).vals[qKey]; key != "" {
 			resp.Key = key
 			resp.Owner = cl.Owner(key)
 			resp.Preference = cl.Preference(key)

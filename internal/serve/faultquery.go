@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"net/http"
 	"strconv"
 
 	"ipg/internal/fault"
@@ -17,14 +16,11 @@ type faultQuery struct {
 	Routing string
 }
 
-// parseFaultQuery returns nil when the request carries no fault
-// parameter, so fault-free requests pay nothing — not even a query-map
-// parse: the probe goes through the raw-query scanner.
-func parseFaultQuery(r *http.Request) (*faultQuery, error) {
-	faults := queryValue(r, "faults")
-	fmode := queryValue(r, "fmode")
-	fseed := queryValue(r, "fseed")
-	routing := queryValue(r, "frouting")
+// parseFaultQuery reads the fault block of a decoded query.  It returns
+// nil when the query carries no fault parameter, so fault-free requests
+// pay nothing.
+func parseFaultQuery(q *query) (*faultQuery, error) {
+	faults, fmode, fseed, routing := q.vals[qFaults], q.vals[qFMode], q.vals[qFSeed], q.vals[qFRouting]
 	if faults == "" && fmode == "" && fseed == "" && routing == "" {
 		return nil, nil
 	}

@@ -1,17 +1,17 @@
 package serve
 
 import (
-	"net/url"
 	"strings"
 	"testing"
 )
 
 // FuzzParamsFromQuery feeds arbitrary query strings through the request
-// parameter pipeline: decode, validate, canonicalize.  Nothing here may
-// panic, and any parameter set that validates must produce a non-empty,
-// deterministic cache key rooted at its family name — the key is what
-// the cache shards and singleflights on, so instability would split or
-// alias cache entries.
+// parameter pipeline: decode, validate, canonicalize.  The one-pass
+// decoder must agree with the url.ParseQuery reference on every input,
+// nothing may panic, and any parameter set that validates must produce a
+// non-empty, deterministic cache key rooted at its family name — the key
+// is what the cache shards and singleflights on, so instability would
+// split or alias cache entries.
 func FuzzParamsFromQuery(f *testing.F) {
 	for _, seed := range []string{
 		"net=hsn&l=3&nucleus=q4",
@@ -40,43 +40,13 @@ func FuzzParamsFromQuery(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, raw string) {
-		q, err := url.ParseQuery(raw)
-		if err != nil {
-			t.Skip() // not a well-formed query; out of scope
-		}
-		p, provided, err := ParamsFromQuery(q)
-		// Escape-free queries must decode identically through the raw
-		// scanner the serving hot path uses — same params, same provided
-		// set, same accept/reject decision.
-		if !RawQueryNeedsEscape(raw) {
-			fastP, fastProv, fastErr := ParamsFromRawQuery(raw)
-			if (err == nil) != (fastErr == nil) {
-				t.Fatalf("decode divergence on %q: slow=%v fast=%v", raw, err, fastErr)
-			}
-			if err == nil {
-				if fastP != p {
-					t.Fatalf("params divergence on %q: slow=%+v fast=%+v", raw, p, fastP)
-				}
-				var slowMask Provided
-				for name := range provided {
-					if bit, ok := provBit(name); ok {
-						slowMask |= bit
-					}
-				}
-				if slowMask != fastProv {
-					t.Fatalf("provided divergence on %q: slow=%07b fast=%07b", raw, slowMask, fastProv)
-				}
-				slowCheck, fastCheck := p.Check(provided), fastP.CheckProvided(fastProv)
-				if (slowCheck == nil) != (fastCheck == nil) {
-					t.Fatalf("check divergence on %q: slow=%v fast=%v", raw, slowCheck, fastCheck)
-				}
-			}
-		}
-		if err != nil {
+		// Every input, well-formed or not, must decode as r.URL.Query()
+		// reads it: the same Params, Provided set, endpoint values and
+		// accept/reject decision.
+		checkAgainstRef(t, raw)
+		p, prov, err := ParamsFromRawQuery(raw)
+		if err != nil || p.CheckProvided(prov) != nil {
 			return // rejected inputs just need to not panic
-		}
-		if err := p.Check(provided); err != nil {
-			return
 		}
 		key := p.Key()
 		if key == "" {

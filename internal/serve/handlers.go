@@ -31,28 +31,18 @@ func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 	s.metrics.WriteProm(w, s.cache.Stats(), breakerStats{open: open, halfOpen: halfOpen, opens: opens}, s.clusterPromStats())
 }
 
-// requestParams decodes and validates family parameters for one request.
-// Escape-free queries (all production traffic) are scanned in place; only
-// queries carrying %-escapes or '+' pay for url.Values.
-func requestParams(r *http.Request) (Params, error) {
-	if raw := r.URL.RawQuery; !RawQueryNeedsEscape(raw) {
-		p, prov, err := ParamsFromRawQuery(raw)
-		if err != nil {
-			return p, badRequest("%v", err)
-		}
-		if err := p.CheckProvided(prov); err != nil {
-			return p, badRequest("%v", err)
-		}
-		return p, nil
+// requestQuery decodes r's query in its one pass and validates the family
+// parameters; the handler reads its endpoint parameters from the result.
+func requestQuery(r *http.Request) (query, error) {
+	q := decodeQuery(r.URL.RawQuery)
+	err := q.err
+	if err == nil {
+		err = q.p.CheckProvided(q.prov)
 	}
-	p, provided, err := ParamsFromQuery(r.URL.Query())
 	if err != nil {
-		return p, badRequest("%v", err)
+		return q, badRequest("%v", err)
 	}
-	if err := p.Check(provided); err != nil {
-		return p, badRequest("%v", err)
-	}
-	return p, nil
+	return q, nil
 }
 
 // BuildResponse is the /v1/build reply.
@@ -69,10 +59,11 @@ type BuildResponse struct {
 }
 
 func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) error {
-	p, err := requestParams(r)
+	q, err := requestQuery(r)
 	if err != nil {
 		return err
 	}
+	p := q.p
 	if handled, err := s.maybeForward(w, r, p, ""); handled || err != nil {
 		return err
 	}
@@ -99,12 +90,13 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) error {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
-	p, err := requestParams(r)
+	q, err := requestQuery(r)
 	if err != nil {
 		return err
 	}
-	withDiameter := queryBool(r, "diameter")
-	fq, err := parseFaultQuery(r)
+	p := q.p
+	withDiameter := queryBool(&q, qDiameter)
+	fq, err := parseFaultQuery(&q)
 	if err != nil {
 		return err
 	}
@@ -240,19 +232,20 @@ type MultipathRoute struct {
 const multipathMaxK = 64
 
 func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) error {
-	p, err := requestParams(r)
+	q, err := requestQuery(r)
 	if err != nil {
 		return err
 	}
-	src, err := queryInt(r, "src", 0)
+	p := q.p
+	src, err := queryInt(&q, qSrc, 0)
 	if err != nil {
 		return err
 	}
-	dst, err := queryInt(r, "dst", 0)
+	dst, err := queryInt(&q, qDst, 0)
 	if err != nil {
 		return err
 	}
-	multipath, err := queryInt(r, "multipath", 0)
+	multipath, err := queryInt(&q, qMultipath, 0)
 	if err != nil {
 		return err
 	}
@@ -261,7 +254,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) error {
 	}
 	var fq *faultQuery
 	if multipath > 0 {
-		if fq, err = parseFaultQuery(r); err != nil {
+		if fq, err = parseFaultQuery(&q); err != nil {
 			return err
 		}
 		if fq != nil && fq.Spec.Mode == fault.Adversarial {
@@ -518,11 +511,12 @@ const SimMaxRate = 8.0
 const SimMaxPackets = 1 << 22
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
-	p, err := requestParams(r)
+	q, err := requestQuery(r)
 	if err != nil {
 		return err
 	}
-	workload := queryValue(r, "workload")
+	p := q.p
+	workload := q.vals[qWorkload]
 	switch workload {
 	case "":
 		workload = "random"
@@ -530,23 +524,23 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 	default:
 		return badRequest("unknown workload %q (random|te|transpose)", workload)
 	}
-	rate, err := queryFloat(r, "rate", 0.2)
+	rate, err := queryFloat(&q, qRate, 0.2)
 	if err != nil {
 		return err
 	}
-	chipCap, err := queryFloat(r, "chipcap", 8.0)
+	chipCap, err := queryFloat(&q, qChipCap, 8.0)
 	if err != nil {
 		return err
 	}
-	seed, err := queryInt(r, "seed", 1)
+	seed, err := queryInt(&q, qSeed, 1)
 	if err != nil {
 		return err
 	}
-	warmup, err := queryInt(r, "warmup", 150)
+	warmup, err := queryInt(&q, qWarmup, 150)
 	if err != nil {
 		return err
 	}
-	measure, err := queryInt(r, "measure", 300)
+	measure, err := queryInt(&q, qMeasure, 300)
 	if err != nil {
 		return err
 	}
@@ -564,7 +558,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 	if measure > SimMaxRounds || warmup > SimMaxRounds-measure {
 		return badRequest("warmup %d + measure %d rounds exceeds the simulation cap of %d rounds", warmup, measure, SimMaxRounds)
 	}
-	fq, err := parseFaultQuery(r)
+	fq, err := parseFaultQuery(&q)
 	if err != nil {
 		return err
 	}
@@ -755,35 +749,36 @@ func (a *Artifact) transposePerm(ctx context.Context) ([]int32, error) {
 	return mapped, nil
 }
 
-// queryInt reads an integer query parameter with a default.
-func queryInt(r *http.Request, name string, def int) (int, error) {
-	v := queryValue(r, name)
+// queryInt reads endpoint parameter i of q as an integer, def when unset.
+func queryInt(q *query, i int, def int) (int, error) {
+	v := q.vals[i]
 	if v == "" {
 		return def, nil
 	}
 	n, err := strconv.Atoi(v)
 	if err != nil {
-		return 0, badRequest("parameter %q: bad integer %q", name, v)
+		return 0, badRequest("parameter %q: bad integer %q", endpointParams[i], v)
 	}
 	return n, nil
 }
 
-// queryFloat reads a float query parameter with a default.
-func queryFloat(r *http.Request, name string, def float64) (float64, error) {
-	v := queryValue(r, name)
+// queryFloat reads endpoint parameter i of q as a float, def when unset.
+func queryFloat(q *query, i int, def float64) (float64, error) {
+	v := q.vals[i]
 	if v == "" {
 		return def, nil
 	}
 	f, err := strconv.ParseFloat(v, 64)
 	if err != nil {
-		return 0, badRequest("parameter %q: bad number %q", name, v)
+		return 0, badRequest("parameter %q: bad number %q", endpointParams[i], v)
 	}
 	return f, nil
 }
 
-// queryBool reports whether a query parameter is set to a truthy value.
-func queryBool(r *http.Request, name string) bool {
-	switch queryValue(r, name) {
+// queryBool reports whether endpoint parameter i of q is set to a truthy
+// value.
+func queryBool(q *query, i int) bool {
+	switch q.vals[i] {
 	case "1", "true", "yes", "on":
 		return true
 	}

@@ -7,6 +7,7 @@ package serve
 import (
 	"fmt"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -35,9 +36,8 @@ func Defaults() Params {
 	return Params{Net: "hsn", L: 3, Nucleus: "q2", Dim: 8, LogM: 2, K: 8, Side: 2, Band: 2}
 }
 
-// Provided is the set of explicitly supplied parameter names as a
-// bitmask — the allocation-free form of Check's map argument, used by
-// the serving hot path (ParamsFromRawQuery + CheckProvided).
+// Provided is the set of explicitly supplied family parameters as a
+// bitmask, as ParamsFromRawQuery decodes it and CheckProvided reads it.
 type Provided uint8
 
 const (
@@ -76,27 +76,9 @@ func provBit(name string) (Provided, bool) {
 	return 0, false
 }
 
-// Check validates p.  provided names the parameters the caller explicitly
-// set ("l", "nucleus", "dim", "logm", "k", "side", "band"); a provided
-// parameter the family does not consume is an error.  Pass nil to skip
-// the applicability check and validate ranges only.
-func (p Params) Check(provided map[string]bool) error {
-	if _, err := lookupFamily(p.Net); err != nil {
-		return err
-	}
-	var prov Provided
-	for name := range provided {
-		bit, ok := provBit(name)
-		if !ok {
-			return fmt.Errorf("parameter %q does not apply to net %q", name, p.Net)
-		}
-		prov |= bit
-	}
-	return p.CheckProvided(prov)
-}
-
-// CheckProvided is Check with the provided set as a bitmask: the
-// allocation-free validation the raw-query request path uses.
+// CheckProvided validates p.  prov names the parameters the caller
+// explicitly set; a provided parameter the family does not consume is an
+// error.  Pass 0 to validate ranges only.
 func (p Params) CheckProvided(prov Provided) error {
 	f, err := lookupFamily(p.Net)
 	if err != nil {
@@ -199,96 +181,111 @@ func (p *Params) intParam(bit Provided) *int {
 	return nil
 }
 
-// ParamsFromQuery decodes family parameters from an HTTP query, applying
-// the shared defaults, and returns the set of explicitly provided names
-// for Check.  Unknown query keys are left to the caller (handlers accept
-// extra per-endpoint keys).
-func ParamsFromQuery(q url.Values) (Params, map[string]bool, error) {
-	p := Defaults()
-	provided := map[string]bool{}
-	if v := q.Get("net"); v != "" {
-		p.Net = strings.ToLower(strings.TrimSpace(v))
-	}
-	for _, pn := range provNames {
-		v := q.Get(pn.name)
-		if v == "" {
-			continue
-		}
-		if pn.bit == ProvNucleus {
-			p.Nucleus = strings.ToLower(strings.TrimSpace(v))
-		} else {
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return p, provided, fmt.Errorf("parameter %q: bad integer %q", pn.name, v)
-			}
-			*p.intParam(pn.bit) = n
-		}
-		provided[pn.name] = true
-	}
-	return p, provided, nil
+// The endpoint parameters: the knobs a handler reads beside the family
+// parameters, as indexes into query.vals.
+const (
+	qSrc = iota
+	qDst
+	qMultipath
+	qDiameter
+	qWorkload
+	qRate
+	qChipCap
+	qSeed
+	qWarmup
+	qMeasure
+	qFaults
+	qFMode
+	qFSeed
+	qFRouting
+	qKey
+	numEndpointParams
+)
+
+// endpointParams names the endpoint parameters.
+var endpointParams = [numEndpointParams]string{
+	qSrc: "src", qDst: "dst", qMultipath: "multipath", qDiameter: "diameter",
+	qWorkload: "workload", qRate: "rate", qChipCap: "chipcap", qSeed: "seed",
+	qWarmup: "warmup", qMeasure: "measure", qFaults: "faults", qFMode: "fmode",
+	qFSeed: "fseed", qFRouting: "frouting", qKey: "key",
 }
 
-// RawQueryNeedsEscape reports whether a raw query string contains
-// characters the zero-allocation scanners cannot decode in place
-// (%-escapes, '+'-encoded spaces, or legacy ';' separators).  Requests
-// carrying them take the url.Values path instead; family parameter
-// values never need escaping, so in practice the fast path covers all
-// production traffic.
-func RawQueryNeedsEscape(raw string) bool {
-	return strings.ContainsAny(raw, "%+;")
+// query is one request's query string, decoded in a single pass: the
+// family view (Params, the Provided set and the first bad family integer)
+// and the first value of each endpoint parameter, "" when absent.
+type query struct {
+	p    Params
+	prov Provided
+	err  error
+	vals [numEndpointParams]string
 }
 
-// ParamsFromRawQuery decodes family parameters by scanning the raw query
-// string in place — ParamsFromQuery without the url.Values map or the
-// provided-set map, for the serving hot path.  Callers must route
-// queries for which RawQueryNeedsEscape is true through ParamsFromQuery;
-// for all other queries the two decoders agree exactly (url.Values.Get
-// semantics: the first occurrence of a key wins, an empty value counts
-// as unset).
-func ParamsFromRawQuery(raw string) (Params, Provided, error) {
-	p := Defaults()
-	var prov, seen Provided
-	seenNet := false
-	for len(raw) > 0 {
+// decodeQuery decodes a raw query string in one pass with r.URL.Query()'s
+// semantics: pairs split on '&', a pair holding ';' or a bad escape is
+// dropped, the first occurrence of each key wins, and an empty value
+// counts as unset.  Only pairs carrying '%' or '+' are unescaped, so an
+// escape-free query decodes without allocating.  A bad family integer is
+// recorded in q.err (the first in query order) and the pass goes on, so
+// the endpoint parameters are decoded either way.
+func decodeQuery(raw string) query {
+	q := query{p: Defaults()}
+	var seenNet bool
+	var seenFam Provided
+	var seenEnd uint16
+	for raw != "" {
 		var pair string
-		if i := strings.IndexByte(raw, '&'); i >= 0 {
-			pair, raw = raw[:i], raw[i+1:]
-		} else {
-			pair, raw = raw, ""
-		}
-		if pair == "" {
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.IndexByte(pair, ';') >= 0 {
 			continue
 		}
 		key, val, _ := strings.Cut(pair, "=")
-		if key == "net" {
-			if seenNet {
+		if strings.ContainsAny(pair, "%+") {
+			k, kerr := url.QueryUnescape(key)
+			v, verr := url.QueryUnescape(val)
+			if kerr != nil || verr != nil {
 				continue
 			}
+			key, val = k, v
+		}
+		if key == "net" {
+			if !seenNet && val != "" {
+				q.p.Net = strings.ToLower(strings.TrimSpace(val))
+			}
 			seenNet = true
-			if val != "" {
-				p.Net = strings.ToLower(strings.TrimSpace(val))
+			continue
+		}
+		if bit, ok := provBit(key); ok {
+			first := seenFam&bit == 0
+			seenFam |= bit
+			if !first || val == "" {
+				continue
+			}
+			if bit == ProvNucleus {
+				q.p.Nucleus = strings.ToLower(strings.TrimSpace(val))
+				q.prov |= bit
+			} else if n, err := strconv.Atoi(val); err != nil {
+				if q.err == nil {
+					q.err = fmt.Errorf("parameter %q: bad integer %q", key, val)
+				}
+			} else {
+				*q.p.intParam(bit) = n
+				q.prov |= bit
 			}
 			continue
 		}
-		bit, ok := provBit(key)
-		if !ok || seen&bit != 0 {
-			continue // unknown keys are per-endpoint extras; first value wins
+		if i := slices.Index(endpointParams[:], key); i >= 0 && seenEnd&(1<<i) == 0 {
+			seenEnd |= 1 << i
+			q.vals[i] = val
 		}
-		seen |= bit
-		if val == "" {
-			continue
-		}
-		if bit == ProvNucleus {
-			p.Nucleus = strings.ToLower(strings.TrimSpace(val))
-			prov |= bit
-			continue
-		}
-		n, err := strconv.Atoi(val)
-		if err != nil {
-			return p, prov, fmt.Errorf("parameter %q: bad integer %q", key, val)
-		}
-		*p.intParam(bit) = n
-		prov |= bit
 	}
-	return p, prov, nil
+	return q
+}
+
+// ParamsFromRawQuery decodes the family parameters of a raw query string:
+// the family view of decodeQuery, the one pass every handler runs.  The
+// error names the first bad integer in query order; CheckProvided
+// validates the rest.
+func ParamsFromRawQuery(raw string) (Params, Provided, error) {
+	q := decodeQuery(raw)
+	return q.p, q.prov, q.err
 }

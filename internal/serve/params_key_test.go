@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"net/url"
 	"testing"
 )
 
@@ -27,15 +26,11 @@ func TestParamsKeyGolden(t *testing.T) {
 		{"net=ccc&dim=4", "ccc|dim=4"},
 	}
 	for _, g := range golden {
-		q, err := url.ParseQuery(g.query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, provided, err := ParamsFromQuery(q)
+		p, prov, err := ParamsFromRawQuery(g.query)
 		if err != nil {
 			t.Fatalf("%s: %v", g.query, err)
 		}
-		if err := p.Check(provided); err != nil {
+		if err := p.CheckProvided(prov); err != nil {
 			t.Fatalf("%s: %v", g.query, err)
 		}
 		if got := p.Key(); got != g.key {
@@ -51,11 +46,7 @@ func TestParamsKeyGolden(t *testing.T) {
 func TestParamsKeyCanonicalization(t *testing.T) {
 	key := func(query string) string {
 		t.Helper()
-		q, err := url.ParseQuery(query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, _, err := ParamsFromQuery(q)
+		p, _, err := ParamsFromRawQuery(query)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -144,15 +143,11 @@ func TestConcurrentBuildsSingleflight(t *testing.T) {
 		}
 	}
 	for _, q := range queries {
-		vals, err := url.ParseQuery(q)
+		p, prov, err := ParamsFromRawQuery(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, provided, err := ParamsFromQuery(vals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Check(provided); err != nil {
+		if err := p.CheckProvided(prov); err != nil {
 			t.Fatal(err)
 		}
 		if n := cb.count(p.Key()); n != 1 {

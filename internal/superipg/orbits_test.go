@@ -110,8 +110,9 @@ func TestOrbitSweepExact(t *testing.T) {
 
 // TestOrbitMarkNeedsTransitiveNucleus pins that the mark follows a proof:
 // a depth-2 RHSN's nucleus is a whole HSN, which is not vertex-transitive,
-// so its view stays unmarked and sweeps every node.  (AddEdge dropping
-// the mark is pinned in internal/topology's TestAddEdgeClearsTransitivity.)
+// so its view stays unmarked and sweeps every node.  (That a graph with an
+// added edge is unmarked is pinned in internal/topology's
+// TestAddEdgeClearsTransitivity.)
 func TestOrbitMarkNeedsTransitiveNucleus(t *testing.T) {
 	w := RHSN(2, 2, nucleus.Hypercube(2))
 	if w.Nuc.VertexTransitive() {

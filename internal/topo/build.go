@@ -19,7 +19,7 @@ import (
 // call contributes v to u's row and u to v's row.  Self-loops are
 // skipped and parallel edges collapse, so emitting an edge from both
 // endpoints (the natural form for the family builders) is harmless.
-// Build panics if an endpoint is outside [0, n), mirroring AddEdge.
+// Build panics if an endpoint is outside [0, n).
 func Build(n int, stream func(edge func(u, v int))) (*CSR, error) {
 	return build(n, stream, true)
 }

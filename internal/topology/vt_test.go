@@ -70,21 +70,29 @@ func TestNonTransitiveFamiliesUnmarked(t *testing.T) {
 	}
 }
 
-// TestAddEdgeClearsTransitivity pins the invalidation rule: mutating a
-// marked graph must drop the mark, or the shortcut would silently report
-// stale metrics.  It covers both marks: a vertex-transitive family and a
+// TestAddEdgeClearsTransitivity pins that a mark never outlives the
+// construction that proved it.  A Graph is immutable, so adding an edge
+// to a marked graph builds a new graph from its edges plus one; that
+// graph must be unmarked, or the shortcut would report the old graph's
+// metrics.  It covers both marks: a vertex-transitive family and a
 // super-IPG view marked with one orbit representative per cluster.
 func TestAddEdgeClearsTransitivity(t *testing.T) {
+	plusEdge := func(g *graph.Graph, u, v int) *graph.Graph {
+		return graph.FromStream(g.N(), func(edge func(u, v int)) {
+			g.Edges(edge)
+			edge(u, v)
+		})
+	}
 	h := NewHypercube(3)
 	if !h.G.VertexTransitive() {
 		t.Fatal("Q3 not marked")
 	}
-	h.G.AddEdge(0, 3)
-	if h.G.VertexTransitive() {
-		t.Error("mark survived AddEdge")
+	g := plusEdge(h.G, 0, 3)
+	if g.VertexTransitive() || g.M() != h.G.M()+1 {
+		t.Errorf("Q3 plus an edge: vertex-transitive %v, %d edges; want false, %d", g.VertexTransitive(), g.M(), h.G.M()+1)
 	}
-	if got, _, _ := graph.Distances(context.Background(), h.G); got != h.G.Diameter() {
-		t.Errorf("after mutation: parallel diameter = %d, serial = %d", got, h.G.Diameter())
+	if got, _, _ := graph.Distances(context.Background(), g); got != g.Diameter() {
+		t.Errorf("after adding an edge: parallel diameter = %d, serial = %d", got, g.Diameter())
 	}
 
 	w := superipg.HSN(3, nucleus.Hypercube(2))
@@ -96,15 +104,15 @@ func TestAddEdgeClearsTransitivity(t *testing.T) {
 	for u.HasEdge(0, v) {
 		v++
 	}
-	u.AddEdge(0, v)
+	u = plusEdge(u, 0, v)
 	if u.Orbits() != nil {
-		t.Error("orbit mark survived AddEdge")
+		t.Error("orbit mark survived an added edge")
 	}
 	d, avg, err := graph.Distances(context.Background(), u)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d != u.Diameter() || avg != u.AverageDistance() {
-		t.Errorf("after mutation: parallel (%d, %v), serial (%d, %v)", d, avg, u.Diameter(), u.AverageDistance())
+		t.Errorf("after adding an edge: parallel (%d, %v), serial (%d, %v)", d, avg, u.Diameter(), u.AverageDistance())
 	}
 }
