@@ -4,7 +4,7 @@
 // products, and bisection search.
 //
 // A Graph is built once: FromStream streams its edges straight into a
-// single CSR arena (internal/topo), and the graph is immutable after
+// single CSR arena (internal/topo), and the edges never change after
 // that.  Every algorithm below iterates the flat arena through the topo
 // kernels, and Graph satisfies topo.Source, so Distances (the one
 // all-sources distance sweep) accepts it directly.
@@ -36,10 +36,10 @@ type Graph struct {
 // representative, and Distances sweeps only reps.  Only builders whose
 // construction proves such a group may call this: the super-IPG builder
 // (superipg.Network.Undirected) marks one node per cluster, and
-// MarkVertexTransitive is the one-orbit case.  A Graph is immutable, so
-// the mark cannot go stale.  MarkOrbits panics if len(reps) does not
-// divide n or an id is out of range; the slice is retained and must not
-// be modified.
+// MarkVertexTransitive is the one-orbit case.  A Graph's edges never
+// change after construction, so the mark cannot go stale.  MarkOrbits
+// panics if len(reps) does not divide n or an id is out of range; the
+// slice is retained and must not be modified.
 func (g *Graph) MarkOrbits(reps []int32) {
 	if len(reps) == 0 || g.n%len(reps) != 0 {
 		panic(fmt.Sprintf("graph.MarkOrbits: %d representatives do not split %d vertices into equal orbits", len(reps), g.n))

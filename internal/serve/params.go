@@ -223,10 +223,10 @@ type query struct {
 // decodeQuery decodes a raw query string in one pass, as url.ParseQuery
 // read through Get does: pairs split on '&', a pair holding ';' or a bad
 // escape is dropped, the first occurrence of each key wins, and an empty
-// value counts as unset.  Only pairs carrying '%' or '+' are unescaped, so an
-// escape-free query decodes without allocating.  A bad family integer is
-// recorded in q.err (the first in query order) and the pass goes on, so
-// the endpoint parameters are decoded either way.
+// value counts as unset.  Only pairs carrying '%' or '+' are unescaped,
+// so an escape-free query decodes without allocating.  A bad family
+// integer is recorded in q.err (the first in query order) and the pass
+// goes on, so the endpoint parameters are decoded either way.
 func decodeQuery(raw string) query {
 	q := query{p: Defaults()}
 	var seenNet bool
