@@ -115,7 +115,9 @@ func BuildTorus2D(k, side int, chipCapacity float64) (*Network, error) {
 // absent ports.  A non-nil router is used as given; nil picks the
 // family's router: the hierarchical HSNRouter for the swap families (HSN,
 // HCN, RCC) and the all-pairs TableRouter, built on the finished port
-// map, for every other family.
+// map, for every other family.  Over a vertex-transitive nucleus the
+// other families also get the orbit maps that let a TableRouter, built
+// here or later by NewTableRouter, keep one row per cluster.
 func BuildSuperIPG(w *superipg.Network, g *ipg.Graph, chipCapacity float64, router Router) (*Network, error) {
 	if err := checkNodeCount(g.N()); err != nil {
 		return nil, err
@@ -167,6 +169,9 @@ func BuildSuperIPG(w *superipg.Network, g *ipg.Graph, chipCapacity float64, rout
 		Ports:     pm,
 		ClusterOf: clusterOf,
 		Router:    router,
+	}
+	if !swapFamily(w) && w.Nuc.VertexTransitive() && g.N() <= maxTableNodes {
+		net.orbit = superOrbits(w, g, pm)
 	}
 	if net.Router == nil {
 		if swapFamily(w) {

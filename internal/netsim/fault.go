@@ -234,9 +234,10 @@ func NewFaultAwareRouter(net *Network) (*FaultAwareRouter, error) {
 		return nil, err
 	}
 	r := &FaultAwareRouter{net: net, n: n, dist: make([]int16, n*n)}
-	err = perBatch(n, destBatch, func() func(int, int, *topo.Scratch) error {
-		return func(lo, hi int, s *topo.Scratch) error {
-			distanceRows(net, c, lo, hi, r.dist[lo*n:hi*n], s.MS(n))
+	err = perBatch(n, n, func() func(int, int, *topo.MSBFSScratch) error {
+		var ids [destBatch]int32
+		return func(lo, hi int, ms *topo.MSBFSScratch) error {
+			distanceRows(net, c, idRange(&ids, lo, hi), r.dist[lo*n:hi*n], ms)
 			return nil
 		}
 	})

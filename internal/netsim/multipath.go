@@ -97,10 +97,11 @@ func NewMultipathRouter(net *Network, treeFor TreeSource) (*MultipathRouter, err
 		return nil, err
 	}
 	r := &MultipathRouter{net: net, n: n, port: make([]int16, n*n)}
-	err = perBatch(n, destBatch, func() func(int, int, *topo.Scratch) error {
+	err = perBatch(n, n, func() func(int, int, *topo.MSBFSScratch) error {
 		dists := make([]int16, destBatch*n) // the batch's alive distance rows, fallback tier
-		var state []int8                    // per (tree, vertex): 0 unknown, 1 alive, 2 dead
-		var walk []int32                    // upward-walk stack for memoization
+		var ids [destBatch]int32
+		var state []int8 // per (tree, vertex): 0 unknown, 1 alive, 2 dead
+		var walk []int32 // upward-walk stack for memoization
 		visit := func(dst int, dist []int16) error {
 			row := r.port[dst*n : (dst+1)*n]
 			for i := range row {
@@ -148,8 +149,8 @@ func NewMultipathRouter(net *Network, treeFor TreeSource) (*MultipathRouter, err
 			r.UnreachablePairs.Add(up)
 			return nil
 		}
-		return func(lo, hi int, s *topo.Scratch) error {
-			distanceRows(net, c, lo, hi, dists, s.MS(n))
+		return func(lo, hi int, ms *topo.MSBFSScratch) error {
+			distanceRows(net, c, idRange(&ids, lo, hi), dists, ms)
 			for dst := lo; dst < hi; dst++ {
 				if err := visit(dst, dists[(dst-lo)*n:(dst-lo+1)*n]); err != nil {
 					return err

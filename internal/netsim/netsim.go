@@ -101,6 +101,11 @@ type Network struct {
 	// before it is dropped (misrouting around faults can cycle); 0 means
 	// the default of 4*N+64.  Ignored on healthy networks.
 	PacketTTL int32
+
+	// orbit, set by BuildSuperIPG whatever router it is given, lets
+	// NewTableRouter keep one row per cluster.  It describes Ports as
+	// built, and a network carrying fault state ignores it.
+	orbit *orbitMaps
 }
 
 // Faulty reports whether the network carries any fault state.

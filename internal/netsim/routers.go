@@ -97,8 +97,51 @@ func NewHSNRouter(w *superipg.Network, g *ipg.Graph) (*HSNRouter, error) {
 	return r, nil
 }
 
+// reverseArcs lists each nucleus node's incoming arcs as flat
+// count-then-fill arenas: the arcs into v are (src[i], port[i]) for i in
+// [off[v], off[v+1]), port being the source's generator index.  A BFS
+// over them discovers nodes in list order, so the order fixes every
+// tie-break.
+type reverseArcs struct {
+	off  []uint32
+	src  []int32
+	port []int16
+}
+
+// bfs runs the reverse BFS from dst: dist[u] becomes u's hop distance to
+// dst and port[u] the port of the arc that first discovered u.  Both are
+// -1 at nodes that cannot reach dst, and port[dst] is -1.  queue needs
+// capacity len(dist); the returned queue lists the reached nodes in
+// discovery order.  Distances fit int16 because the caller bounds the
+// node count with checkTableSize.
+func (ra *reverseArcs) bfs(dst int, dist, port []int16, queue []int32) []int32 {
+	for i := range dist {
+		dist[i] = -1
+	}
+	for i := range port {
+		port[i] = -1
+	}
+	dist[dst] = 0
+	//lint:ignore indextrunc dst < len(dist) <= math.MaxInt32 (checkNodeCount)
+	queue = append(queue[:0], int32(dst))
+	// Locals, not ra's fields: the stores below would force reloads.
+	off, src, arcPort := ra.off, ra.src, ra.port
+	for qi := 0; qi < len(queue); qi++ {
+		v := queue[qi]
+		dv := dist[v] + 1
+		for i, end := off[v], off[v+1]; i < end; i++ {
+			if u := src[i]; dist[u] < 0 {
+				dist[u] = dv
+				port[u] = arcPort[i]
+				queue = append(queue, u)
+			}
+		}
+	}
+	return queue
+}
+
 // nucleusNextGen builds the all-pairs next-generator table of the nucleus
-// graph ng by the core's reverse BFS from every destination.  The reverse
+// graph ng by a reverse BFS from every destination.  The reverse
 // arcs into v are v's generator images in generator order, each carrying
 // the lowest generator that leads back to v (the nucleus generator sets
 // here are inverse-closed, so the images of v are exactly the nodes with
@@ -157,32 +200,64 @@ func (r *HSNRouter) NextPort(cur, dst int) int {
 	return -1
 }
 
-// TableRouter is a full all-pairs next-port table built by reverse BFS on
-// an arbitrary port network; usable for any family at small N.
+// TableRouter is an all-pairs next-port table on an arbitrary port
+// network: each cell holds minimalPort's choice, the lowest alive port
+// onto a shortest alive path, so it answers exactly like the
+// FaultAwareRouter of the same network.  Usable for any family at small
+// N.
 type TableRouter struct {
 	n int
-	// table[dst*n+cur] is the port at cur toward dst (-1 at dst itself):
-	// destination-major, so each BFS fills one contiguous row.
+	// table[row*n+cur] is the port at cur toward the row's destination
+	// (-1 at that destination): destination-major, so each MSBFS batch
+	// fills contiguous rows.  Row i belongs to destination i, or to
+	// orbit.reps[i] when orbit is set.
 	table []int16
+	orbit *orbitMaps
 }
 
-// NewTableRouter builds the table (O(N^2) memory, O(N*E) time) with the
-// routing core: each destination's reverse BFS writes the first
-// discovering port of every node straight into its own table row.
-// Discovery order — source ascending, then port ascending — does not
-// depend on the worker count, so neither does the table.
+// NewTableRouter builds the table with the routing core: MSBFS distance
+// rows over the alive arcs, 64 destinations per pass, each reduced to
+// its ports by minimalPort.  On a healthy super-IPG that BuildSuperIPG
+// gave orbit maps it keeps only the representatives' rows, N/M x N
+// cells instead of N x N, and routes (cur, dst) as (σ(cur), σ(dst)) for
+// dst's σ.  Rows do not depend on the worker count, so neither does the
+// table.  An unreachable pair is an error, and so is an alive arc
+// without an alive reverse.
 func NewTableRouter(net *Network) (*TableRouter, error) {
 	n := net.N
 	if err := checkTableSize(n, "TableRouter"); err != nil {
 		return nil, err
 	}
-	tr := &TableRouter{n: n, table: make([]int16, n*n)}
-	ra := aliveReverseArcs(net)
-	err := perBatch(n, 1, func() func(int, int, *topo.Scratch) error {
-		dist := make([]int16, n)
-		return func(dst, _ int, s *topo.Scratch) error {
-			if reached := len(ra.bfs(dst, dist, tr.table[dst*n:(dst+1)*n], s.Queue)); reached < n {
-				return fmt.Errorf("netsim: network disconnected (%d of %d nodes cannot reach %d)", n-reached, n, dst)
+	c, err := aliveCSR(net)
+	if err != nil {
+		return nil, err
+	}
+	tr := &TableRouter{n: n}
+	rows := n
+	if net.orbit != nil && !net.Faulty() {
+		tr.orbit = net.orbit
+		rows = len(tr.orbit.reps)
+	}
+	tr.table = make([]int16, rows*n)
+	err = perBatch(n, rows, func() func(int, int, *topo.MSBFSScratch) error {
+		dist := make([]int16, destBatch*n)
+		var ids [destBatch]int32
+		return func(lo, hi int, ms *topo.MSBFSScratch) error {
+			dsts := idRange(&ids, lo, hi)
+			if tr.orbit != nil {
+				dsts = tr.orbit.reps[lo:hi]
+			}
+			distanceRows(net, c, dsts, dist, ms)
+			for i, dst := range dsts {
+				d, row := dist[i*n:(i+1)*n], tr.table[(lo+i)*n:(lo+i+1)*n]
+				for u := range row {
+					p := minimalPort(net, d, u)
+					if p < 0 && u != int(dst) {
+						return fmt.Errorf("netsim: network disconnected (%d cannot reach %d)", u, dst)
+					}
+					//lint:ignore indextrunc ports per node are bounded by PortMap arity, far below MaxInt16
+					row[u] = int16(p)
+				}
 			}
 			return nil
 		}
@@ -194,4 +269,10 @@ func NewTableRouter(net *Network) (*TableRouter, error) {
 }
 
 // NextPort implements Router.
-func (tr *TableRouter) NextPort(cur, dst int) int { return int(tr.table[dst*tr.n+cur]) }
+func (tr *TableRouter) NextPort(cur, dst int) int {
+	if o := tr.orbit; o != nil {
+		sig := o.sigma[int(o.state[dst])*tr.n:]
+		return int(tr.table[int(o.row[dst])*tr.n+int(sig[cur])])
+	}
+	return int(tr.table[dst*tr.n+cur])
+}
