@@ -36,6 +36,9 @@ func portTableHash(n int, next func(cur, dst int) int) uint64 {
 // may change a single forwarding decision, adaptive tie-breaks and
 // multipath tier counts included.  Every build runs at GOMAXPROCS 1, 2
 // and 7, which also pins the tables as independent of the worker count.
+// The TableRouter hashes were recaptured once, when TableRouter took
+// minimalPort's tie-break; each equals the FaultAwareRouter's hash on the
+// same healthy network.
 func TestRouterTablePins(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 7} {
@@ -60,9 +63,9 @@ func pinRouterTables(t *testing.T) {
 		w    *superipg.Network
 		want uint64
 	}{
-		{"ring-CN(3,Q2)", superipg.RingCN(3, q2), 0xd2d0138e49e37fed},
-		{"complete-CN(3,Q2)", superipg.CompleteCN(3, q2), 0xd2d0138e49e37fed},
-		{"SFN(3,Q2)", superipg.SFN(3, q2), 0xdd0540dedc12b1b2},
+		{"ring-CN(3,Q2)", superipg.RingCN(3, q2), 0xca13fcd3c336a5fd},
+		{"complete-CN(3,Q2)", superipg.CompleteCN(3, q2), 0xca13fcd3c336a5fd},
+		{"SFN(3,Q2)", superipg.SFN(3, q2), 0xf899bf7dbc9337dd},
 	} {
 		net := superNet(c.w)
 		if _, ok := net.Router.(*TableRouter); !ok {
