@@ -854,7 +854,10 @@ func BenchmarkTotalExchange512(b *testing.B) {
 }
 
 // BenchmarkNetsimRouterBuild times every table builder on the shared
-// routing core: the all-pairs TableRouter the CN families simulate with,
+// routing core: the TableRouter the CN families and SFN simulate with
+// (representative rows on these healthy networks; the 1,024-node
+// complete-CN(2,Q5) and ring-CN(5,Q2) are cold-sweep's largest simulate
+// keys),
 // the FaultAwareRouter a faulted /v1/simulate rebuilds per request, the
 // MultipathRouter (generic 2-IST trees plus the alive shortest-path
 // fallback), and the HSNRouter's nucleus table with its label digests.
@@ -880,6 +883,8 @@ func BenchmarkNetsimRouterBuild(b *testing.B) {
 	hsn := simNet(superipg.HSN(3, q3))
 	ringCN := simNet(superipg.RingCN(3, q3))
 	sfn := simNet(superipg.SFN(3, q3))
+	completeCNQ5 := simNet(superipg.CompleteCN(2, nucleus.Hypercube(5)))
+	ringCNQ2 := simNet(superipg.RingCN(5, nucleus.Hypercube(2)))
 	linkFaults := degraded(hsn, fault.Spec{Mode: fault.Links, Count: 8, Seed: 1})
 	nodeFaults := degraded(hsn, fault.Spec{Mode: fault.Nodes, Count: 8, Seed: 1})
 	built := func(net *netsim.Network, err error) *netsim.Network {
@@ -901,6 +906,8 @@ func BenchmarkNetsimRouterBuild(b *testing.B) {
 	}{
 		{"table/ring-CN(3,Q3)", func() (netsim.Router, error) { return netsim.NewTableRouter(ringCN) }},
 		{"table/SFN(3,Q3)", func() (netsim.Router, error) { return netsim.NewTableRouter(sfn) }},
+		{"table/complete-CN(2,Q5)", func() (netsim.Router, error) { return netsim.NewTableRouter(completeCNQ5) }},
+		{"table/ring-CN(5,Q2)", func() (netsim.Router, error) { return netsim.NewTableRouter(ringCNQ2) }},
 		{"fault-aware/HSN(3,Q3)/links=8", func() (netsim.Router, error) { return netsim.NewFaultAwareRouter(linkFaults) }},
 		{"fault-aware/HSN(3,Q3)/nodes=8", func() (netsim.Router, error) { return netsim.NewFaultAwareRouter(nodeFaults) }},
 		{"fault-aware/SFN(3,Q3)/nodes=4", func() (netsim.Router, error) { return netsim.NewFaultAwareRouter(sfnFaults) }},

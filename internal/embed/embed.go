@@ -136,7 +136,9 @@ func CompleteBinaryTree(d int) *Embedding {
 			inorder(2*heap+1, mid+1, hi)
 		}
 	}
-	inorder(1, 0, n-1)
+	if n > 0 { // d = 0 is the empty tree
+		inorder(1, 0, n-1)
+	}
 	return &Embedding{GuestName: fmt.Sprintf("tree(%d)", n), Guest: g, Map: m}
 }
 

@@ -47,6 +47,23 @@ func TestTreeEmbedding(t *testing.T) {
 	}
 }
 
+// TestTreeEmbeddingSmall covers the smallest trees, the empty one (d = 0)
+// included.
+func TestTreeEmbeddingSmall(t *testing.T) {
+	for _, c := range []struct{ d, n int }{{0, 0}, {1, 1}, {2, 3}, {3, 7}, {4, 15}} {
+		e := CompleteBinaryTree(c.d)
+		if e.Guest.N() != c.n || len(e.Map) != c.n {
+			t.Fatalf("tree(d=%d): %d nodes, %d mapped; want %d", c.d, e.Guest.N(), len(e.Map), c.n)
+		}
+		if err := e.Validate(1 << c.d); err != nil {
+			t.Fatalf("tree(d=%d): %v", c.d, err)
+		}
+		if dil := e.Dilation(HypercubeDistance); dil > 2 {
+			t.Errorf("tree(d=%d) in Q%d: dilation %d, want <= 2", c.d, c.d, dil)
+		}
+	}
+}
+
 func TestCorollary34Composition(t *testing.T) {
 	// Ring, mesh, and tree embedded into super-IPGs through the
 	// ln-dimensional hypercube: dilation at most 3x the cube dilation.

@@ -240,7 +240,7 @@ func NewTableRouter(net *Network) (*TableRouter, error) {
 	}
 	tr.table = make([]int16, rows*n)
 	err = perBatch(n, rows, func() func(int, int, *topo.MSBFSScratch) error {
-		dist := make([]int16, destBatch*n)
+		dist := make([]int16, min(destBatch, rows)*n)
 		var ids [destBatch]int32
 		return func(lo, hi int, ms *topo.MSBFSScratch) error {
 			dsts := idRange(&ids, lo, hi)

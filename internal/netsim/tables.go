@@ -158,7 +158,7 @@ func minimalPort(net *Network, dist []int16, u int) int {
 		return -1
 	}
 	for p, v := range net.Ports.PortRow(u) {
-		if v >= 0 && !net.portDead(u, p) && dist[v] == d-1 {
+		if v >= 0 && dist[v] == d-1 && !net.portDead(u, p) {
 			return p
 		}
 	}
