@@ -34,8 +34,10 @@
 // empties the queue, and phase A walks only those bits.  Each node draws
 // its traffic and fault diverts from its own splitmix64 stream, seeded in
 // O(1) by hashing (seed, node).  Every all-pairs router table is built by
-// one routing-table core (tables.go): a reverse BFS fills each
-// destination's row.
+// one routing-table core (tables.go): MSBFS fills 64 destinations'
+// distance rows per pass, and the routers pick the lowest alive port onto
+// a shortest path.  On a healthy super-IPG over a vertex-transitive
+// nucleus the TableRouter keeps the rows of one destination per cluster.
 //
 // Unlike the metric kernels in internal/topo and internal/graph, the
 // simulator is not generic over topo.Source: a simulation's per-node

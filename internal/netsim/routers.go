@@ -97,51 +97,8 @@ func NewHSNRouter(w *superipg.Network, g *ipg.Graph) (*HSNRouter, error) {
 	return r, nil
 }
 
-// reverseArcs lists each nucleus node's incoming arcs as flat
-// count-then-fill arenas: the arcs into v are (src[i], port[i]) for i in
-// [off[v], off[v+1]), port being the source's generator index.  A BFS
-// over them discovers nodes in list order, so the order fixes every
-// tie-break.
-type reverseArcs struct {
-	off  []uint32
-	src  []int32
-	port []int16
-}
-
-// bfs runs the reverse BFS from dst: dist[u] becomes u's hop distance to
-// dst and port[u] the port of the arc that first discovered u.  Both are
-// -1 at nodes that cannot reach dst, and port[dst] is -1.  queue needs
-// capacity len(dist); the returned queue lists the reached nodes in
-// discovery order.  Distances fit int16 because the caller bounds the
-// node count with checkTableSize.
-func (ra *reverseArcs) bfs(dst int, dist, port []int16, queue []int32) []int32 {
-	for i := range dist {
-		dist[i] = -1
-	}
-	for i := range port {
-		port[i] = -1
-	}
-	dist[dst] = 0
-	//lint:ignore indextrunc dst < len(dist) <= math.MaxInt32 (checkNodeCount)
-	queue = append(queue[:0], int32(dst))
-	// Locals, not ra's fields: the stores below would force reloads.
-	off, src, arcPort := ra.off, ra.src, ra.port
-	for qi := 0; qi < len(queue); qi++ {
-		v := queue[qi]
-		dv := dist[v] + 1
-		for i, end := off[v], off[v+1]; i < end; i++ {
-			if u := src[i]; dist[u] < 0 {
-				dist[u] = dv
-				port[u] = arcPort[i]
-				queue = append(queue, u)
-			}
-		}
-	}
-	return queue
-}
-
 // nucleusNextGen builds the all-pairs next-generator table of the nucleus
-// graph ng by a reverse BFS from every destination.  The reverse
+// graph ng by the core's reverse BFS from every destination.  The reverse
 // arcs into v are v's generator images in generator order, each carrying
 // the lowest generator that leads back to v (the nucleus generator sets
 // here are inverse-closed, so the images of v are exactly the nodes with

@@ -14,19 +14,19 @@ import (
 	"ipg/internal/topo"
 )
 
-// This file is the routing-table core every network-level table router
-// is built on.  A table keeps destination-major rows, and every row
-// starts as its destination's distance row: its BFS
-// distance vector over the alive arcs, which are symmetric (Degrade kills
-// both directions of a link), so topo's MSBFS computes 64 rows per pass
-// over the alive CSR.  A degraded network is the same traversal on the
-// alive induced subgraph, so faults need no second kernel.  Every router
-// reads a row with one tie-break, minimalPort: the lowest alive port onto
-// a shortest alive path.  FaultAwareRouter and MultipathRouter's fallback
-// tier keep the distance rows and scan ports per decision; TableRouter
-// stores the chosen port, and on a healthy super-IPG over a
-// vertex-transitive nucleus it stores only the rows of one destination
-// per cluster (orbitMaps).
+// This file is the routing-table core every table router is built on.
+// A network-level table keeps destination-major rows, and each row starts
+// as its destination's BFS distance vector over the alive arcs.  Those
+// are symmetric (Degrade kills both directions of a link), so topo's
+// MSBFS computes 64 rows per pass over the alive CSR, and a degraded
+// network is the same traversal on the alive induced subgraph.  Every
+// such router reads a row with one tie-break, minimalPort: the lowest
+// alive port onto a shortest alive path.  FaultAwareRouter and
+// MultipathRouter's fallback tier keep the distance rows and scan ports
+// per decision; TableRouter stores the chosen port, and on a healthy
+// super-IPG over a vertex-transitive nucleus only for one destination per
+// cluster (orbitMaps).  HSNRouter's nucleus table alone keeps the port
+// that first discovered each node, by a scalar reverse BFS.
 
 // maxTableNodes bounds every all-pairs table: an n x n int16 table is
 // 512 MiB at 16384 nodes, and node ids below it fit a uint16.
@@ -43,10 +43,53 @@ func checkTableSize(n int, name string) error {
 	return nil
 }
 
+// reverseArcs lists each node's incoming arcs as flat count-then-fill
+// arenas: the arcs into v are (src[i], port[i]) for i in
+// [off[v], off[v+1]), port being the source's port index.  A BFS over
+// them discovers nodes in list order, so the order fixes every
+// tie-break.
+type reverseArcs struct {
+	off  []uint32
+	src  []int32
+	port []int16
+}
+
 // aliveArc reports whether port p of u, leading to v, is an alive arc
 // between two distinct nodes.
 func aliveArc(net *Network, u, p int, v int32) bool {
 	return v >= 0 && int(v) != u && !net.nodeDead(u) && !net.portDead(u, p)
+}
+
+// bfs runs the reverse BFS from dst: dist[u] becomes u's hop distance to
+// dst and port[u] the port of the arc that first discovered u.  Both are
+// -1 at nodes that cannot reach dst, and port[dst] is -1.  queue needs
+// capacity len(dist); the returned queue lists the reached nodes in
+// discovery order.  Distances fit int16 because every caller bounds the
+// node count with checkTableSize.
+func (ra *reverseArcs) bfs(dst int, dist, port []int16, queue []int32) []int32 {
+	for i := range dist {
+		dist[i] = -1
+	}
+	for i := range port {
+		port[i] = -1
+	}
+	dist[dst] = 0
+	//lint:ignore indextrunc dst < len(dist) <= math.MaxInt32 (checkNodeCount)
+	queue = append(queue[:0], int32(dst))
+	// Locals, not ra's fields: the stores below would force reloads.
+	off, src, arcPort := ra.off, ra.src, ra.port
+	for qi := 0; qi < len(queue); qi++ {
+		v := queue[qi]
+		dv := dist[v] + 1
+		for i, end := off[v], off[v+1]; i < end; i++ {
+			if u := src[i]; dist[u] < 0 {
+				dist[u] = dv
+				port[u] = arcPort[i]
+				queue = append(queue, u)
+			}
+		}
+	}
+	return queue
 }
 
 // aliveCSR returns net's alive arcs as a CSR for distanceRows, with
