@@ -234,8 +234,8 @@ type orbitMaps struct {
 // superOrbits returns the orbit maps of w's materialization g over its
 // port map ports, or nil when a map fails to keep ports or to carry a
 // node to a representative, which the nucleus's vertex-transitive proof
-// rules out.  The caller bounds
-// g.N() by maxTableNodes, so node ids and nucleus states fit a uint16.
+// rules out.  The caller bounds g.N() by maxTableNodes, so node ids and
+// nucleus states fit a uint16.
 func superOrbits(w *superipg.Network, g *ipg.Graph, ports *topo.PortMap) *orbitMaps {
 	ng, err := w.Nuc.Build()
 	if err != nil {
@@ -259,11 +259,14 @@ func superOrbits(w *superipg.Network, g *ipg.Graph, ports *topo.PortMap) *orbitM
 	// σ_s carries the node whose groups all hold s to the one whose groups
 	// all hold the seed, and the rest of σ_s follows from σ(x·g) = σ(x)·g.
 	root := g.NodeID(w.Seed())
+	if root < 0 {
+		return nil
+	}
 	queue := make([]int32, 0, n)
 	taken := make([]bool, n)
 	for s := 0; s < ng.N(); s++ {
 		from := g.NodeID(perm.RepeatGroups(ng.Label(s), w.L))
-		if from < 0 || root < 0 || !lockstep(ports, from, root, o.sigma[s*n:(s+1)*n], queue, taken) {
+		if from < 0 || !lockstep(ports, from, root, o.sigma[s*n:(s+1)*n], queue, taken) {
 			return nil
 		}
 	}
@@ -295,11 +298,11 @@ func lockstep(ports *topo.PortMap, from, to int, sig []uint16, queue []int32, ta
 	queue = append(queue[:0], int32(from))
 	for qi := 0; qi < len(queue); qi++ {
 		v := queue[qi]
-		row, image := ports.PortRow(int(v)), ports.PortRow(int(sig[v]))
-		if len(row) != len(image) {
+		out, image := ports.PortRow(int(v)), ports.PortRow(int(sig[v]))
+		if len(out) != len(image) {
 			return false
 		}
-		for p, u := range row {
+		for p, u := range out {
 			su := image[p]
 			switch {
 			case (u < 0) != (su < 0):
