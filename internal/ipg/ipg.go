@@ -46,15 +46,20 @@ func (s Spec) Validate() error {
 // itself: a self-loop, which is not a link in the physical network).
 type Graph struct {
 	Spec
-	// labels holds every label back to back, one fixed-width record per
-	// node: node v's label is labels[v*width : (v+1)*width].
+	// labels holds every label back to back, bit-packed, one fixed-width
+	// record of rec bytes per node: node v's record is
+	// labels[v*rec : (v+1)*rec].  Generators only permute positions, so
+	// every label is over the seed's alphabet, and each symbol takes
+	// pk.bits bits (enough for the seed's largest symbol; see packer).
 	labels []byte
-	width  int
+	width  int // symbols per label
+	rec    int // bytes per record: pk.size(width)
+	pk     packer
 	n      int
-	// table indexes the labels by content: an open-addressing table with
-	// linear probing over a power-of-two number of slots, each holding
-	// a node id plus one (0 marks an empty slot).  It is kept at most
-	// half full.
+	// table indexes the records by content: an open-addressing table
+	// with linear probing over a power-of-two number of slots, each
+	// holding a node id plus one (0 marks an empty slot).  It is kept at
+	// most half full.
 	table []int32
 	// adj holds the per-generator adjacency in one flat array: the node
 	// reached from v by generator gi is adj[v*len(Gens)+gi].
@@ -70,29 +75,45 @@ const minTable = 64
 
 // Build materializes the IPG defined by spec via breadth-first closure:
 // node ids are assigned in BFS order from the seed (node 0), generators
-// in order.
+// in order.  A generator image is packed straight from the head's
+// record: through byte tables when records fit one word, otherwise from
+// the head's label, unpacked once.
 func Build(spec Spec) (*Graph, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	g := &Graph{Spec: spec, width: len(spec.Seed)}
+	g := &Graph{Spec: spec, width: len(spec.Seed), pk: newPacker(spec.Seed)}
+	g.rec = g.pk.size(g.width)
+	rec := make([]byte, g.rec)
+	g.pk.pack(rec, spec.Seed)
 	g.resize(minTable)
-	g.insert(spec.Seed, g.slot(spec.Seed))
-	scratch := make(perm.Label, g.width)
+	g.insert(rec, g.slot(rec))
+	moves := g.pk.wordMoves(spec.Gens, g.width)
+	var cur perm.Label
+	if moves == nil {
+		cur = make(perm.Label, g.width)
+	}
 	//lint:ignore ctxflow the closure is capped at MaxNodes (1<<22) nodes and runs once per artifact under serve's build timeout
 	for head := 0; head < g.N(); head++ {
-		// A view, not a copy: appends below may move the arena, but the
-		// old backing array keeps this label intact.
-		cur := g.Label(head)
-		for _, gen := range spec.Gens {
-			gen.P.ApplyInto(scratch, cur)
-			s := g.slot(scratch)
+		// A view: appends below may move the arena, but the old backing
+		// array keeps this record intact.
+		hr := g.record(head)
+		if moves == nil {
+			g.pk.unpack(cur, hr)
+		}
+		for gi, gen := range spec.Gens {
+			if moves != nil {
+				store(rec, moveWord(moves[gi*256*g.rec:(gi+1)*256*g.rec], hr))
+			} else {
+				g.pk.packImage(rec, cur, gen.P)
+			}
+			s := g.slot(rec)
 			id := g.table[s] - 1
 			if id < 0 {
 				if g.N() >= MaxNodes {
 					return nil, fmt.Errorf("ipg: %s exceeds MaxNodes=%d", spec.Name, MaxNodes)
 				}
-				id = g.insert(scratch, s)
+				id = g.insert(rec, s)
 			}
 			g.adj = append(g.adj, id)
 		}
@@ -113,43 +134,46 @@ func MustBuild(spec Spec) *Graph {
 	return g
 }
 
-// hashLabel hashes a label eight symbols at a time, multiplying each
-// mixed word by an odd constant so that every input bit reaches the high
-// bits, which pick the slot.
-func hashLabel(l []byte) uint64 {
+// hashRecord hashes a packed record eight bytes at a time, multiplying
+// each mixed word by an odd constant so that every input bit reaches the
+// high bits, which pick the slot.
+func hashRecord(r []byte) uint64 {
 	const m = 0x9e3779b97f4a7c15
-	h := uint64(len(l))
-	for ; len(l) >= 8; l = l[8:] {
-		h = (h ^ binary.LittleEndian.Uint64(l)) * m
+	h := uint64(len(r))
+	for ; len(r) >= 8; r = r[8:] {
+		h = (h ^ binary.LittleEndian.Uint64(r)) * m
 		h ^= h >> 32
 	}
-	for _, b := range l {
-		h = (h ^ uint64(b)) * m
+	if len(r) > 0 {
+		h = (h ^ load(r)) * m
 	}
 	return (h ^ h>>29) * m
 }
 
-// slot returns the table slot holding l's node, or the empty slot where
-// l would go.  l must have the graph's width.
-func (g *Graph) slot(l []byte) int {
+// record returns node v's packed record, a view into the arena.
+func (g *Graph) record(v int) []byte { return g.labels[v*g.rec : (v+1)*g.rec] }
+
+// slot returns the table slot holding r's node, or the empty slot where
+// r would go.  r must be a record of the graph's width.
+func (g *Graph) slot(r []byte) int {
 	mask := len(g.table) - 1
 	shift := 64 - bits.Len(uint(mask))
-	s := int(hashLabel(l) >> shift)
+	s := int(hashRecord(r) >> shift)
 	for {
 		id := int(g.table[s]) - 1
-		if id < 0 || string(g.labels[id*g.width:(id+1)*g.width]) == string(l) {
+		if id < 0 || string(g.record(id)) == string(r) {
 			return s
 		}
 		s = (s + 1) & mask
 	}
 }
 
-// insert appends l as a new node in the empty slot s (from slot), growing
+// insert appends r as a new node in the empty slot s (from slot), growing
 // the table when it would pass half full.
-func (g *Graph) insert(l []byte, s int) int32 {
+func (g *Graph) insert(r []byte, s int) int32 {
 	//lint:ignore indextrunc Build caps the node count at MaxNodes (1<<22) before inserting
 	id := int32(g.n)
-	g.labels = append(g.labels, l...)
+	g.labels = append(g.labels, r...)
 	g.n++
 	if 2*g.n > len(g.table) {
 		g.resize(2 * len(g.table))
@@ -165,9 +189,9 @@ func (g *Graph) insert(l []byte, s int) int32 {
 func (g *Graph) resize(slots int) {
 	g.table = make([]int32, slots)
 	for v := range g.n {
-		g.table[g.slot(g.Label(v))] = int32(v) + 1 //lint:ignore indextrunc v < g.n <= MaxNodes (1<<22)
+		g.table[g.slot(g.record(v))] = int32(v) + 1 //lint:ignore indextrunc v < g.n <= MaxNodes (1<<22)
 	}
-	g.labels = slices.Grow(g.labels, slots/2*g.width-len(g.labels))
+	g.labels = slices.Grow(g.labels, slots/2*g.rec-len(g.labels))
 	g.adj = slices.Grow(g.adj, slots/2*len(g.Gens)-len(g.adj))
 }
 
@@ -196,21 +220,42 @@ func (g *Graph) Arity(v int) int { return len(g.Gens) }
 // target equals the node (or is negative) as carrying no traffic.
 func (g *Graph) Port(v, p int) int32 { return g.adj[v*len(g.Gens)+p] }
 
-// Label returns the label of node v: a view into the graph's label arena,
-// capped so that appending to it copies instead of overwriting node v+1.
-// It must not be modified.
-func (g *Graph) Label(v int) perm.Label {
-	end := (v + 1) * g.width
-	return g.labels[v*g.width : end : end]
+// Label returns a copy of node v's label, unpacked from the arena.
+// Loops over many nodes should reuse a buffer with LabelInto instead.
+func (g *Graph) Label(v int) perm.Label { return g.LabelInto(v, nil) }
+
+// LabelInto unpacks node v's label into dst, reallocating it only when
+// its capacity is below the label length, and returns it.
+func (g *Graph) LabelInto(v int, dst perm.Label) perm.Label {
+	if cap(dst) < g.width {
+		dst = make(perm.Label, g.width)
+	}
+	dst = dst[:g.width]
+	g.pk.unpack(dst, g.record(v))
+	return dst
 }
 
+// nodeIDStack is the largest record NodeID packs on its stack; a longer
+// one (over 512 one-bit or 64 eight-bit symbols) costs an allocation.
+const nodeIDStack = 64
+
 // NodeID returns the node with the given label, or -1 when no node has it
-// (including labels of the wrong length).
+// (including labels of the wrong length and labels holding a symbol too
+// large for the seed's alphabet).  It packs l into a buffer of its own,
+// so concurrent callers may share the graph.
 func (g *Graph) NodeID(l perm.Label) int {
 	if len(l) != g.width {
 		return -1
 	}
-	return int(g.table[g.slot(l)]) - 1
+	var buf [nodeIDStack]byte
+	r := buf[:min(g.rec, nodeIDStack)]
+	if g.rec > nodeIDStack {
+		r = make([]byte, g.rec)
+	}
+	if !g.pk.pack(r, l) {
+		return -1
+	}
+	return int(g.table[g.slot(r)]) - 1
 }
 
 // Neighbor returns the node reached from v by generator gi.  The result
@@ -245,9 +290,11 @@ func (g *Graph) Undirected() *graph.Graph {
 func (g *Graph) ClustersBy(offset int) ([]int32, int) {
 	clusterOf := make([]int32, g.N())
 	idx := make(map[string]int32)
+	var lbl perm.Label
 	//lint:ignore ctxflow one map lookup per node, at most MaxNodes (1<<22), once per artifact's partition
 	for v := range clusterOf {
-		suffix := g.Label(v)[offset:]
+		lbl = g.LabelInto(v, lbl)
+		suffix := lbl[offset:]
 		id, ok := idx[string(suffix)]
 		if !ok {
 			//lint:ignore indextrunc len(idx) <= g.N() <= MaxNodes (1<<22)

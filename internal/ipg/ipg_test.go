@@ -1,6 +1,7 @@
 package ipg
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -130,6 +131,14 @@ func TestNodeID(t *testing.T) {
 	for _, l := range []string{"111111", "12332", "1233211", ""} {
 		if got := g.NodeID(perm.MustParseLabel(l)); got != -1 {
 			t.Errorf("NodeID(%q) = %d, want -1 (absent or wrong length)", l, got)
+		}
+	}
+	// The seed's largest symbol is 3, so labels pack at 2 bits a symbol,
+	// and a larger symbol must not reach its neighbour's bits: packed
+	// unchecked, 9 = 0b1001 followed by 0 would read as the seed's 1, 2.
+	for _, l := range []string{"903321", "123324", "12332f"} {
+		if got := g.NodeID(perm.MustParseLabel(l)); got != -1 {
+			t.Errorf("NodeID(%q) = %d, want -1 (symbol outside the alphabet)", l, got)
 		}
 	}
 }
@@ -301,36 +310,110 @@ func TestBuildMatchesReference(t *testing.T) {
 	}
 }
 
-// TestLabelIsCappedView checks that appending to a returned label copies
-// it instead of writing over the next node's label in the arena.
-func TestLabelIsCappedView(t *testing.T) {
+// TestLabelIsCopy checks that Label returns the label unpacked into a
+// fresh slice, so writing to it leaves the graph alone, and that
+// LabelInto reuses a buffer with room.
+func TestLabelIsCopy(t *testing.T) {
 	g := MustBuild(section2Spec())
-	next := g.Label(1).Clone()
-	_ = append(g.Label(0), 9, 9, 9)
-	if !g.Label(1).Equal(next) {
-		t.Fatalf("appending to Label(0) changed Label(1) from %v to %v", next, g.Label(1))
+	l := g.Label(1)
+	want := l.Clone()
+	for i := range l {
+		l[i] = 9
 	}
-	if cap(g.Label(0)) != len(g.Seed) {
-		t.Fatalf("Label(0) has capacity %d, want %d", cap(g.Label(0)), len(g.Seed))
+	if !g.Label(1).Equal(want) {
+		t.Fatalf("writing to Label(1) changed it from %v to %v", want, g.Label(1))
+	}
+	buf := make(perm.Label, 0, len(g.Seed))
+	if got := g.LabelInto(1, buf); !got.Equal(want) || &got[0] != &buf[:1][0] {
+		t.Fatalf("LabelInto(1, buf) = %v, want %v in buf", got, want)
 	}
 }
 
-// FuzzBuild compares Build with the reference closure on random seeds of
-// up to 7 symbols, each reduced mod 4 so that symbols repeat, and on
-// random sets of 1 to 8 generators.
+// alphabetSpec returns an IPG over the alphabet 0..k-1: a seed of n
+// symbols i%k, with the star graph's transpositions (1 i) when star is
+// set and otherwise the dihedral group's rotation and reflection.
+func alphabetSpec(k, n int, star bool) Spec {
+	seed := make(perm.Label, n)
+	for i := range seed {
+		seed[i] = byte(i % k)
+	}
+	var gens perm.GenSet
+	if star {
+		for i := 1; i < n; i++ {
+			gens = append(gens, perm.Gen("t", perm.Transposition(n, 0, i)))
+		}
+	} else {
+		rot, ref := make(perm.Perm, n), make(perm.Perm, n)
+		for i := range rot {
+			rot[i], ref[i] = (i+1)%n, n-1-i
+		}
+		gens = perm.GenSet{perm.Gen("r", rot), perm.Gen("s", ref)}
+	}
+	return Spec{Name: fmt.Sprintf("alphabet%d-%d", k, n), Seed: seed, Gens: gens}
+}
+
+// TestSymbolWidths builds IPGs over alphabets that take every symbol
+// width from 1 to 8 bits (at 3, 5, 6 and 7 bits symbols straddle
+// bytes), with records of one word, whose images Build takes from byte
+// tables, and of several words, and compares each with the reference
+// closure.
+func TestSymbolWidths(t *testing.T) {
+	for _, tc := range []struct {
+		k, n  int
+		star  bool
+		bits  uint
+		bytes int // record bytes
+	}{
+		{2, 13, true, 1, 2},
+		{2, 70, false, 1, 9},
+		{3, 9, true, 2, 3},
+		{4, 8, true, 2, 2},
+		{4, 40, false, 2, 10},
+		{5, 7, true, 3, 3},
+		{8, 11, false, 3, 5},
+		{8, 30, false, 3, 12},
+		{9, 12, false, 4, 6},
+		{17, 20, false, 5, 13},
+		{33, 36, false, 6, 29},
+		{65, 68, false, 7, 61},
+		{129, 132, false, 8, 132},
+		{256, 259, false, 8, 259},
+	} {
+		spec := alphabetSpec(tc.k, tc.n, tc.star)
+		g := MustBuild(spec)
+		if g.pk.bits != tc.bits || g.rec != tc.bytes {
+			t.Errorf("%s: %d bits a symbol in %d-byte records, want %d in %d", spec.Name, g.pk.bits, g.rec, tc.bits, tc.bytes)
+		}
+		if len(g.labels) != g.N()*g.rec {
+			t.Errorf("%s: arena holds %d bytes for %d nodes of %d", spec.Name, len(g.labels), g.N(), g.rec)
+		}
+		CheckAgainstReference(t, spec)
+	}
+}
+
+// FuzzBuild compares Build with the reference closure on random seeds
+// over an alphabet of 1 to 256 symbols (each seed byte reduced mod the
+// alphabet size, so that symbols repeat), with at most 5,040
+// arrangements, and on random sets of 1 to 8 generators.
 func FuzzBuild(f *testing.F) {
-	f.Add([]byte("123321"), uint8(3), int64(1))
-	f.Add([]byte("1234"), uint8(8), int64(2))
-	f.Add([]byte("11"), uint8(1), int64(3))
-	f.Add([]byte("a"), uint8(0), int64(4))
-	f.Add([]byte{}, uint8(2), int64(5))
-	f.Fuzz(func(t *testing.T, seed []byte, ngens uint8, genSeed int64) {
-		if len(seed) > 7 {
+	f.Add([]byte("123321"), uint8(3), int64(1), uint8(3))
+	f.Add([]byte("1234"), uint8(8), int64(2), uint8(3))
+	f.Add([]byte("11"), uint8(1), int64(3), uint8(3))
+	f.Add([]byte("a"), uint8(0), int64(4), uint8(3))
+	f.Add([]byte{}, uint8(2), int64(5), uint8(3))
+	f.Fuzz(func(t *testing.T, seed []byte, ngens uint8, genSeed int64, alphabet uint8) {
+		if len(seed) > 256 {
 			return
 		}
 		spec := Spec{Name: "fuzz", Seed: make(perm.Label, len(seed))}
 		for i, s := range seed {
-			spec.Seed[i] = s % 4
+			spec.Seed[i] = byte(int(s) % (int(alphabet) + 1))
+		}
+		if len(seed) > 0 {
+			lc, err := perm.NewLabelCodec(spec.Seed)
+			if err != nil || lc.Count() > 5040 {
+				return
+			}
 		}
 		r := rand.New(rand.NewSource(genSeed))
 		for range 1 + int(ngens)%8 {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"ipg/internal/ipg"
+	"ipg/internal/perm"
 	"ipg/internal/superipg"
 	"ipg/internal/topo"
 )
@@ -81,8 +82,9 @@ func NewHSNRouter(w *superipg.Network, g *ipg.Graph) (*HSNRouter, error) {
 	}
 	r := &HSNRouter{w: w, l: w.L, m: w.SymbolLen(), nucM: ng.N()}
 	r.group = make([]uint16, g.N()*w.L)
+	var lbl perm.Label
 	for v := 0; v < g.N(); v++ {
-		lbl := g.Label(v)
+		lbl = g.LabelInto(v, lbl)
 		for i := 0; i < w.L; i++ {
 			id := ng.NodeID(lbl.Group(r.m, i))
 			if id < 0 {

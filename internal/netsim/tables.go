@@ -244,8 +244,10 @@ func superOrbits(w *superipg.Network, g *ipg.Graph, ports *topo.PortMap) *orbitM
 	n, m := g.N(), w.SymbolLen()
 	o := &orbitMaps{sigma: make([]uint16, ng.N()*n), state: make([]uint16, n), row: make([]uint16, n)}
 	seed := ng.NodeID(w.Nuc.Seed)
+	var lbl perm.Label
 	for v := 0; v < n; v++ {
-		s := ng.NodeID(g.Label(v).Group(m, 0))
+		lbl = g.LabelInto(v, lbl)
+		s := ng.NodeID(lbl.Group(m, 0))
 		if s < 0 {
 			return nil
 		}

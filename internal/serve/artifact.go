@@ -11,6 +11,7 @@ import (
 	"ipg/internal/mcmp"
 	"ipg/internal/netsim"
 	"ipg/internal/nucleus"
+	"ipg/internal/perm"
 	"ipg/internal/superipg"
 	"ipg/internal/topo"
 	"ipg/internal/topology"
@@ -385,19 +386,27 @@ func (a *Artifact) ISTrees(ctx context.Context, dst, k int) (*ist.Trees, error) 
 	return tr, nil
 }
 
-// routeLabel renders the node label of vertex v on a super-IPG route:
-// materialized artifacts look it up in the built graph, implicit ones
-// decode it from the address (implicit super vertices ARE their group
-// addresses, so LabelOf inverts the codec's numbering exactly).
-func (a *Artifact) routeLabel(v int) (string, error) {
-	if a.G != nil {
-		return a.G.Label(v).GroupedString(a.W.SymbolLen()), nil
+// routeLabels renders the node labels of a super-IPG route: materialized
+// artifacts unpack each from the built graph into one scratch label
+// (on the stack up to 64 symbols), implicit ones decode it from the
+// address (implicit super vertices ARE their group addresses, so LabelOf
+// inverts the codec's numbering exactly).
+func (a *Artifact) routeLabels(path []int) ([]string, error) {
+	labels := make([]string, len(path))
+	var buf [64]byte
+	lbl := perm.Label(buf[:0])
+	for i, v := range path {
+		if a.G != nil {
+			lbl = a.G.LabelInto(v, lbl)
+		} else {
+			var err error
+			if lbl, err = a.W.LabelOf(v); err != nil {
+				return nil, err
+			}
+		}
+		labels[i] = lbl.GroupedString(a.W.SymbolLen())
 	}
-	l, err := a.W.LabelOf(v)
-	if err != nil {
-		return "", err
-	}
-	return l.GroupedString(a.W.SymbolLen()), nil
+	return labels, nil
 }
 
 // implicitSweepMax bounds the traversals run over implicit artifacts.

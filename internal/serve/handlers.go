@@ -13,6 +13,7 @@ import (
 
 	"ipg/internal/fault"
 	"ipg/internal/netsim"
+	"ipg/internal/perm"
 	"ipg/internal/topo"
 )
 
@@ -301,13 +302,8 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) error {
 		Path:    path,
 	}
 	if a.Super() {
-		resp.Labels = make([]string, len(path))
-		for i, v := range path {
-			label, err := a.routeLabel(v)
-			if err != nil {
-				return err
-			}
-			resp.Labels[i] = label
+		if resp.Labels, err = a.routeLabels(path); err != nil {
+			return err
 		}
 	}
 	if multipath > 0 {
@@ -719,22 +715,24 @@ func (a *Artifact) transposePerm(ctx context.Context) ([]int32, error) {
 	if err != nil {
 		return nil, err
 	}
-	perm, err := netsim.Transpose(logN)
+	tp, err := netsim.Transpose(logN)
 	if err != nil || !a.Super() {
-		return perm, asBadRequest(err)
+		return tp, asBadRequest(err)
 	}
 	mapped := make([]int32, a.N)
+	var lbl perm.Label
 	for v := 0; v < a.N; v++ {
 		if v&1023 == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		addr, err := a.W.AddressOf(a.G.Label(v))
+		lbl = a.G.LabelInto(v, lbl)
+		addr, err := a.W.AddressOf(lbl)
 		if err != nil {
 			return nil, err
 		}
-		dstAddr := perm[addr]
+		dstAddr := tp[addr]
 		dstLabel, err := a.W.LabelOf(int(dstAddr))
 		if err != nil {
 			return nil, err

@@ -275,8 +275,10 @@ func (w *Network) Undirected(g *ipg.Graph) *graph.Graph {
 	}
 	m := w.SymbolLen()
 	reps := make([]int32, 0, g.N()/w.Nuc.M)
+	var lbl perm.Label
 	for v := 0; v < g.N(); v++ {
-		if bytes.Equal(g.Label(v)[:m], w.Nuc.Seed) {
+		lbl = g.LabelInto(v, lbl)
+		if bytes.Equal(lbl[:m], w.Nuc.Seed) {
 			//lint:ignore indextrunc node ids are < g.N() <= ipg.MaxNodes (1<<22)
 			reps = append(reps, int32(v))
 		}
