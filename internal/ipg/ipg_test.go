@@ -364,6 +364,7 @@ func TestSymbolWidths(t *testing.T) {
 		bits  uint
 		bytes int // record bytes
 	}{
+		{2, 5, true, 1, 1},
 		{2, 13, true, 1, 2},
 		{2, 70, false, 1, 9},
 		{3, 9, true, 2, 3},
@@ -386,6 +387,15 @@ func TestSymbolWidths(t *testing.T) {
 		}
 		if len(g.labels) != g.N()*g.rec {
 			t.Errorf("%s: arena holds %d bytes for %d nodes of %d", spec.Name, len(g.labels), g.N(), g.rec)
+		}
+		// The seed starts 0, 1; symbol 1<<bits in front of a 0 is outside
+		// the alphabet, but packed unchecked it would read as the seed.
+		if tc.bits < 8 {
+			l := spec.Seed.Clone()
+			l[0], l[1] = 1<<tc.bits, 0
+			if got := g.NodeID(l); got != -1 {
+				t.Errorf("%s: NodeID(%v) = %d, want -1", spec.Name, l, got)
+			}
 		}
 		CheckAgainstReference(t, spec)
 	}

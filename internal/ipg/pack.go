@@ -36,6 +36,9 @@ func (pk packer) size(n int) int {
 // pack writes l's record into r and reports false when a symbol of l
 // needs more bits than the packer has.
 func (pk packer) pack(r, l []byte) bool {
+	if pk.bits == 1 {
+		return packBits(r, l)
+	}
 	var seen byte
 	for len(l) > 0 {
 		k := min(len(l), pk.per)
@@ -116,6 +119,10 @@ func moveWord(t []uint64, r []byte) uint64 {
 
 // unpack writes the symbols of record r into l.
 func (pk packer) unpack(l, r []byte) {
+	if pk.bits == 1 {
+		unpackBits(l, r)
+		return
+	}
 	mask := uint64(1)<<pk.bits - 1
 	for len(l) > 0 {
 		k := min(len(l), pk.per)
@@ -125,6 +132,43 @@ func (pk packer) unpack(l, r []byte) {
 			l[j] = byte(w >> (uint(j) * pk.bits & 63) & mask)
 		}
 		l, r = l[k:], r[nb:]
+	}
+}
+
+// packBits is pack for one-bit symbols, a record byte per eight of
+// them: the multiply gathers the low bit of each byte of a word into its
+// top byte.
+func packBits(r, l []byte) bool {
+	for ; len(l) >= 8; l, r = l[8:], r[1:] {
+		w := binary.LittleEndian.Uint64(l)
+		if w&^0x0101010101010101 != 0 {
+			return false
+		}
+		r[0] = byte(w * 0x0102040810204080 >> 56)
+	}
+	var c byte
+	for j, s := range l {
+		if s > 1 {
+			return false
+		}
+		c |= s << j
+	}
+	if len(l) > 0 {
+		r[0] = c
+	}
+	return true
+}
+
+// unpackBits is unpack for one-bit symbols: the multiply copies a record
+// byte into every byte of a word, the mask keeps bit j in byte j, and the
+// add carries each kept bit to the top of its byte.
+func unpackBits(l, r []byte) {
+	for ; len(l) >= 8; l, r = l[8:], r[1:] {
+		w := uint64(r[0]) * 0x0101010101010101 & 0x8040201008040201
+		binary.LittleEndian.PutUint64(l, (w+0x7f7f7f7f7f7f7f7f)>>7&0x0101010101010101)
+	}
+	for j := range l {
+		l[j] = r[0] >> j & 1
 	}
 }
 

@@ -267,7 +267,8 @@ func superOrbits(w *superipg.Network, g *ipg.Graph, ports *topo.PortMap) *orbitM
 	queue := make([]int32, 0, n)
 	taken := make([]bool, n)
 	for s := 0; s < ng.N(); s++ {
-		from := g.NodeID(perm.RepeatGroups(ng.Label(s), w.L))
+		lbl = ng.LabelInto(s, lbl)
+		from := g.NodeID(perm.RepeatGroups(lbl, w.L))
 		if from < 0 || !lockstep(ports, from, root, o.sigma[s*n:(s+1)*n], queue, taken) {
 			return nil
 		}
