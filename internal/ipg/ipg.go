@@ -75,9 +75,8 @@ const minTable = 64
 
 // Build materializes the IPG defined by spec via breadth-first closure:
 // node ids are assigned in BFS order from the seed (node 0), generators
-// in order.  A generator image is packed straight from the head's
-// record: through byte tables when records fit one word, otherwise from
-// the head's label, unpacked once.
+// in order.  Each BFS head's label is unpacked once, and each generator
+// image is formed as a label and packed.
 func Build(spec Spec) (*Graph, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -88,25 +87,14 @@ func Build(spec Spec) (*Graph, error) {
 	g.pk.pack(rec, spec.Seed)
 	g.resize(minTable)
 	g.insert(rec, g.slot(rec))
-	moves := g.pk.wordMoves(spec.Gens, g.width)
-	var cur perm.Label
-	if moves == nil {
-		cur = make(perm.Label, g.width)
-	}
+	cur := make(perm.Label, g.width)
+	scratch := make(perm.Label, g.width)
 	//lint:ignore ctxflow the closure is capped at MaxNodes (1<<22) nodes and runs once per artifact under serve's build timeout
 	for head := 0; head < g.N(); head++ {
-		// A view: appends below may move the arena, but the old backing
-		// array keeps this record intact.
-		hr := g.record(head)
-		if moves == nil {
-			g.pk.unpack(cur, hr)
-		}
-		for gi, gen := range spec.Gens {
-			if moves != nil {
-				store(rec, moveWord(moves[gi*256*g.rec:(gi+1)*256*g.rec], hr))
-			} else {
-				g.pk.packImage(rec, cur, gen.P)
-			}
+		g.pk.unpack(cur, g.record(head))
+		for _, gen := range spec.Gens {
+			gen.P.ApplyInto(scratch, cur)
+			g.pk.pack(rec, scratch)
 			s := g.slot(rec)
 			id := g.table[s] - 1
 			if id < 0 {
@@ -188,8 +176,16 @@ func (g *Graph) insert(r []byte, s int) int32 {
 // nodes it can hold, so all three grow in the same doubling steps.
 func (g *Graph) resize(slots int) {
 	g.table = make([]int32, slots)
+	mask := slots - 1
+	shift := 64 - bits.Len(uint(mask))
 	for v := range g.n {
-		g.table[g.slot(g.record(v))] = int32(v) + 1 //lint:ignore indextrunc v < g.n <= MaxNodes (1<<22)
+		// The records are distinct: take the first empty slot.
+		s := int(hashRecord(g.record(v)) >> shift)
+		//lint:ignore ctxflow a linear probe of a table kept at most half full, in a closure capped at MaxNodes (1<<22) nodes
+		for g.table[s] != 0 {
+			s = (s + 1) & mask
+		}
+		g.table[s] = int32(v) + 1 //lint:ignore indextrunc v < g.n <= MaxNodes (1<<22)
 	}
 	g.labels = slices.Grow(g.labels, slots/2*g.rec-len(g.labels))
 	g.adj = slices.Grow(g.adj, slots/2*len(g.Gens)-len(g.adj))

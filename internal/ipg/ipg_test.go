@@ -354,9 +354,8 @@ func alphabetSpec(k, n int, star bool) Spec {
 
 // TestSymbolWidths builds IPGs over alphabets that take every symbol
 // width from 1 to 8 bits (at 3, 5, 6 and 7 bits symbols straddle
-// bytes), with records of one word, whose images Build takes from byte
-// tables, and of several words, and compares each with the reference
-// closure.
+// bytes), with records of one word and of several words, and compares
+// each with the reference closure.
 func TestSymbolWidths(t *testing.T) {
 	for _, tc := range []struct {
 		k, n  int

@@ -3,8 +3,6 @@ package ipg
 import (
 	"encoding/binary"
 	"math/bits"
-
-	"ipg/internal/perm"
 )
 
 // packer converts labels to and from the arena's records.  Each symbol
@@ -34,7 +32,7 @@ func (pk packer) size(n int) int {
 }
 
 // pack writes l's record into r and reports false when a symbol of l
-// needs more bits than the packer has.
+// needs more bits than the packer has (r then holds no record).
 func (pk packer) pack(r, l []byte) bool {
 	if pk.bits == 1 {
 		return packBits(r, l)
@@ -53,68 +51,12 @@ func (pk packer) pack(r, l []byte) bool {
 	return seen>>pk.bits == 0
 }
 
-// packImage writes into r the record of x permuted by p, the label
-// p.Apply(x), without forming that label.
-func (pk packer) packImage(r, x []byte, p perm.Perm) {
-	for len(p) > 0 {
-		k := min(len(p), pk.per)
-		var w uint64
-		for j, v := range p[:k] {
-			w |= uint64(x[v]) << (uint(j) * pk.bits & 63)
-		}
-		r = pk.put(r, w, k)
-		p = p[k:]
-	}
-}
-
 // put stores the word w of k symbols at the front of r and returns the
 // rest of r.
 func (pk packer) put(r []byte, w uint64, k int) []byte {
 	nb := (k*int(pk.bits) + 7) / 8
 	store(r[:nb], w)
 	return r[nb:]
-}
-
-// wordMoves returns each generator's action on the records of labels of
-// width symbols as byte tables, or nil when a record is longer than one
-// word.  On a one-word record a generator is a bit permutation: it moves
-// the bits of the symbol at position p[j] to position j.  So the image of
-// a record r is the OR of t[k<<8|r[k]] over its bytes k, where t is the
-// generator's 256*rec entries and t[k<<8|c] is the image of byte k
-// holding c.
-func (pk packer) wordMoves(gens perm.GenSet, width int) []uint64 {
-	rec := pk.size(width)
-	if rec > 8 {
-		return nil
-	}
-	moves := make([]uint64, len(gens)*rec*256)
-	for gi, gen := range gens {
-		// to[q] is the image of bit q; padding bits past the label stay
-		// zero.
-		var to [64]uint64
-		for j, i := range gen.P {
-			for t := range pk.bits {
-				to[uint(i)*pk.bits+t] = 1 << (uint(j)*pk.bits + t)
-			}
-		}
-		for k := range rec {
-			t := moves[(gi*rec+k)*256:][:256]
-			for c := 1; c < 256; c++ {
-				t[c] = t[c&(c-1)] | to[8*k+bits.TrailingZeros8(uint8(c))]
-			}
-		}
-	}
-	return moves
-}
-
-// moveWord applies a generator's tables t (from wordMoves) to the
-// one-word record r.
-func moveWord(t []uint64, r []byte) uint64 {
-	var w uint64
-	for k, c := range r {
-		w |= t[k<<8|int(c)]
-	}
-	return w
 }
 
 // unpack writes the symbols of record r into l.
@@ -137,26 +79,24 @@ func (pk packer) unpack(l, r []byte) {
 
 // packBits is pack for one-bit symbols, a record byte per eight of
 // them: the multiply gathers the low bit of each byte of a word into its
-// top byte.
+// top byte.  The alphabet check ORs every symbol together and looks once,
+// at the end.
 func packBits(r, l []byte) bool {
+	var seen uint64
 	for ; len(l) >= 8; l, r = l[8:], r[1:] {
 		w := binary.LittleEndian.Uint64(l)
-		if w&^0x0101010101010101 != 0 {
-			return false
-		}
+		seen |= w
 		r[0] = byte(w * 0x0102040810204080 >> 56)
 	}
 	var c byte
 	for j, s := range l {
-		if s > 1 {
-			return false
-		}
+		seen |= uint64(s)
 		c |= s << j
 	}
 	if len(l) > 0 {
 		r[0] = c
 	}
-	return true
+	return seen&^0x0101010101010101 == 0
 }
 
 // unpackBits is unpack for one-bit symbols: the multiply copies a record

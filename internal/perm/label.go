@@ -54,6 +54,7 @@ func (p Perm) Apply(x Label) Label {
 // ApplyInto applies p to x writing the result into dst (which must have the
 // same length and not alias x).  It avoids allocation in hot loops.
 func (p Perm) ApplyInto(dst, x Label) {
+	dst = dst[:len(p)] // one bounds check here, none per write
 	for i, v := range p {
 		dst[i] = x[v]
 	}
