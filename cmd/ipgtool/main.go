@@ -36,6 +36,7 @@ import (
 	"os"
 
 	"ipg/internal/analysis"
+	"ipg/internal/perm"
 	"ipg/internal/schedule"
 	"ipg/internal/serve"
 )
@@ -210,8 +211,10 @@ func writeDOT(a *serve.Artifact, path string) error {
 	if err != nil {
 		return err
 	}
+	var lbl perm.Label
 	err = a.U.WriteDOT(f, a.Name, a.ClusterIDs(), func(v int) string {
-		return a.G.Label(v).GroupedString(a.W.SymbolLen())
+		lbl = a.G.LabelInto(v, lbl)
+		return lbl.GroupedString(a.W.SymbolLen())
 	})
 	if cerr := f.Close(); err == nil {
 		err = cerr

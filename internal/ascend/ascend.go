@@ -27,6 +27,7 @@ import (
 	"sync"
 
 	"ipg/internal/ipg"
+	"ipg/internal/perm"
 	"ipg/internal/superipg"
 	"ipg/internal/topo"
 )
@@ -161,8 +162,10 @@ func NewRunner[T any](w *superipg.Network, g *ipg.Graph) (*Runner[T], error) {
 		off += b
 	}
 	r.homeAddr = make([]int, g.N())
+	var lbl perm.Label
 	for v := 0; v < g.N(); v++ {
-		a, err := w.AddressOf(g.Label(v))
+		lbl = g.LabelInto(v, lbl)
+		a, err := w.AddressOf(lbl)
 		if err != nil {
 			return nil, err
 		}
@@ -295,8 +298,9 @@ func (r *Runner[T]) dimSubgroups(d int) ([]int32, error) {
 	}
 	scratch := make([]byte, m)
 	next := int32(0)
+	var lbl perm.Label
 	for v := 0; v < g.N(); v++ {
-		lbl := g.Label(v)
+		lbl = g.LabelInto(v, lbl)
 		copy(scratch, lbl[:m])
 		digit, err := nuc.Digit(scratch, d)
 		if err != nil {

@@ -148,11 +148,13 @@ func MeasureDilation(w *superipg.Network, g *ipg.Graph, sample int) (DilationRes
 	if sample > 0 && sample < n {
 		step = n / sample
 	}
+	var lbl perm.Label
 	for v := 0; v < n; v += step {
 		dist := u.BFS(v)
 		res.SampleNodes++
+		lbl = g.LabelInto(v, lbl)
 		for j := 1; j <= nd; j++ {
-			nb, err := HPNNeighbor(w, g.Label(v), j)
+			nb, err := HPNNeighbor(w, lbl, j)
 			if err != nil {
 				return res, err
 			}

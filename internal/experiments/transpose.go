@@ -62,8 +62,10 @@ func runTranspose(scale Scale) (*Result, error) {
 	// Map the address-space permutation onto node ids.
 	nodePerm := make([]int32, g.N())
 	nodeOfAddr := make([]int32, g.N())
+	var lbl []byte // perm names the address permutation here
 	for v := 0; v < g.N(); v++ {
-		a, err := w.AddressOf(g.Label(v))
+		lbl = g.LabelInto(v, lbl)
+		a, err := w.AddressOf(lbl)
 		if err != nil {
 			return nil, err
 		}
@@ -71,7 +73,8 @@ func runTranspose(scale Scale) (*Result, error) {
 		nodeOfAddr[a] = int32(v)
 	}
 	for v := 0; v < g.N(); v++ {
-		a, err := w.AddressOf(g.Label(v))
+		lbl = g.LabelInto(v, lbl)
+		a, err := w.AddressOf(lbl)
 		if err != nil {
 			return nil, err
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"ipg/internal/ipg"
+	"ipg/internal/perm"
 	"ipg/internal/superipg"
 	"ipg/internal/topology"
 )
@@ -169,8 +170,10 @@ func SuperIPGBisection(w *superipg.Network, g *ipg.Graph, c *Clustered) ([]int8,
 	half := w.Nuc.M / 2
 	side := make([]int8, c.Chips)
 	assigned := make([]bool, c.Chips)
+	var lbl perm.Label
 	for v := 0; v < g.N(); v++ {
-		addr2, err := w.Nuc.AddressOf(g.Label(v).Group(m, 1))
+		lbl = g.LabelInto(v, lbl)
+		addr2, err := w.Nuc.AddressOf(lbl.Group(m, 1))
 		if err != nil {
 			return nil, err
 		}

@@ -5,6 +5,7 @@ import (
 
 	"ipg/internal/emul"
 	"ipg/internal/ipg"
+	"ipg/internal/perm"
 )
 
 // Execute runs the schedule on a materialized super-IPG: every node starts
@@ -48,9 +49,11 @@ func (s *Schedule) Execute(g *ipg.Graph) error {
 			}
 		}
 	}
+	var lbl perm.Label
 	for j := 0; j < nd; j++ {
 		for v := 0; v < g.N(); v++ {
-			want, err := emul.HPNNeighbor(s.Net, g.Label(v), j+1)
+			lbl = g.LabelInto(v, lbl)
+			want, err := emul.HPNNeighbor(s.Net, lbl, j+1)
 			if err != nil {
 				return err
 			}

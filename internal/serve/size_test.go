@@ -6,10 +6,10 @@ import (
 )
 
 // TestSizeBytesPins pins the bytes each golden family's artifact charges
-// to the cache (SizeBytes): the eight of the root package's CSR goldens
-// that serve builds (WBF(3) has an odd number of level bands, which the
-// butterfly's chip bisection rejects), the rest of the serving goldens
-// and HSN(3,Q4).  A materialized super-IPG charges its bit-packed label
+// to the cache (SizeBytes): seven of the root package's eight CSR
+// goldens, all but WBF(3), which serve does not build (it has an odd
+// number of level bands, which the butterfly's chip bisection rejects),
+// the rest of the serving goldens and HSN(3,Q4).  A materialized super-IPG charges its bit-packed label
 // arena, label table, adjacency, undirected CSR and orbit
 // representatives; a change to that accounting must edit this table.
 func TestSizeBytesPins(t *testing.T) {
