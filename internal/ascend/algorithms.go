@@ -62,18 +62,14 @@ func DFT(x []complex128, inverse bool) []complex128 {
 func FFT(r *Runner[complex128], byAddr []complex128, inverse bool) ([]complex128, Stats, error) {
 	n := len(byAddr)
 	logN := r.LogN()
-	byNode := make([]complex128, n)
-	for v := 0; v < r.G.N(); v++ {
-		byNode[v] = byAddr[r.homeAddr[v]]
-	}
-	out, st, err := r.Run(byNode, DescendPass(r.W), FFTOp(n, inverse))
+	out, st, err := r.Run(byAddr, DescendPass(r.W), FFTOp(n, inverse))
 	if err != nil {
 		return nil, st, err
 	}
 	// Back to address order, undoing the bit-reversal of DIF.
 	res := make([]complex128, n)
-	for v := 0; v < r.G.N(); v++ {
-		res[BitReverse(r.homeAddr[v], logN)] = out[v]
+	for v := range res {
+		res[BitReverse(v, logN)] = out[v]
 	}
 	if inverse {
 		for i := range res {
@@ -89,14 +85,9 @@ func FFT(r *Runner[complex128], byAddr []complex128, inverse bool) ([]complex128
 // chosen by address bit k.  Returns the sorted keys by address and the
 // accumulated communication statistics.
 func BitonicSort(r *Runner[float64], byAddr []float64) ([]float64, Stats, error) {
-	n := len(byAddr)
 	logN := r.LogN()
-	byNode := make([]float64, n)
-	for v := 0; v < r.G.N(); v++ {
-		byNode[v] = byAddr[r.homeAddr[v]]
-	}
 	var total Stats
-	cur := byNode
+	cur := byAddr
 	for k := 1; k <= logN; k++ {
 		blockBit := 1 << uint(k)
 		for j := k - 1; j >= 0; j-- {
@@ -122,11 +113,7 @@ func BitonicSort(r *Runner[float64], byAddr []float64) ([]float64, Stats, error)
 		}
 	}
 	total.CommSteps = total.SuperSteps + total.Exchanges
-	res := make([]float64, n)
-	for v := 0; v < r.G.N(); v++ {
-		res[r.homeAddr[v]] = cur[v]
-	}
-	return res, total, nil
+	return cur, total, nil
 }
 
 // SortedReference returns a sorted copy, the bitonic sort oracle.
@@ -139,46 +126,22 @@ func SortedReference(x []float64) []float64 {
 // AllReduceSum runs an ascend pass that leaves the global sum of the input
 // at every node.
 func AllReduceSum(r *Runner[float64], byAddr []float64) ([]float64, Stats, error) {
-	byNode := make([]float64, len(byAddr))
-	for v := 0; v < r.G.N(); v++ {
-		byNode[v] = byAddr[r.homeAddr[v]]
-	}
 	op := func(_, _, _ int, a, b float64) (float64, float64) {
 		s := a + b
 		return s, s
 	}
-	out, st, err := r.Run(byNode, AscendPass(r.W), op)
-	if err != nil {
-		return nil, st, err
-	}
-	res := make([]float64, len(byAddr))
-	for v := 0; v < r.G.N(); v++ {
-		res[r.homeAddr[v]] = out[v]
-	}
-	return res, st, nil
+	return r.Run(byAddr, AscendPass(r.W), op)
 }
 
 // Broadcast propagates the value at address 0 to every node via a descend
 // pass.
 func Broadcast(r *Runner[float64], value float64) ([]float64, Stats, error) {
-	byNode := make([]float64, r.G.N())
-	for v := 0; v < r.G.N(); v++ {
-		if r.homeAddr[v] == 0 {
-			byNode[v] = value
-		}
-	}
+	byAddr := make([]float64, r.G.N())
+	byAddr[0] = value
 	op := func(_, _, _ int, a, _ float64) (float64, float64) {
 		return a, a
 	}
-	out, st, err := r.Run(byNode, DescendPass(r.W), op)
-	if err != nil {
-		return nil, st, err
-	}
-	res := make([]float64, r.G.N())
-	for v := 0; v < r.G.N(); v++ {
-		res[r.homeAddr[v]] = out[v]
-	}
-	return res, st, nil
+	return r.Run(byAddr, DescendPass(r.W), op)
 }
 
 // PrefixSum computes the inclusive prefix sum (scan) of the values indexed
@@ -189,8 +152,7 @@ func Broadcast(r *Runner[float64], value float64) ([]float64, Stats, error) {
 func PrefixSum(r *Runner[[2]float64], byAddr []float64) ([]float64, Stats, error) {
 	n := len(byAddr)
 	byNode := make([][2]float64, n)
-	for v := 0; v < r.G.N(); v++ {
-		x := byAddr[r.homeAddr[v]]
+	for v, x := range byAddr {
 		byNode[v] = [2]float64{x, x}
 	}
 	op := func(_, _, _ int, lo, hi [2]float64) ([2]float64, [2]float64) {
@@ -204,8 +166,8 @@ func PrefixSum(r *Runner[[2]float64], byAddr []float64) ([]float64, Stats, error
 		return nil, st, err
 	}
 	res := make([]float64, n)
-	for v := 0; v < r.G.N(); v++ {
-		res[r.homeAddr[v]] = out[v][0]
+	for v := range res {
+		res[v] = out[v][0]
 	}
 	return res, st, nil
 }

@@ -26,8 +26,6 @@ import (
 	"runtime"
 	"sync"
 
-	"ipg/internal/ipg"
-	"ipg/internal/perm"
 	"ipg/internal/superipg"
 	"ipg/internal/topo"
 )
@@ -115,63 +113,26 @@ func BitsPass(w *superipg.Network, bitSeq []int) (Pass, error) {
 	return Pass{Dims: dims}, nil
 }
 
-// Runner executes passes over a materialized super-IPG.
+// Runner executes passes over a materialized super-IPG, whose node ids
+// are addresses: node v is the home node of the datum with address v.
 type Runner[T any] struct {
 	W *superipg.Network
-	G *ipg.Graph
+	G *superipg.Graph
 
 	// ports is the port-labelled view of G (port gi = generator gi); the
 	// data-movement loop consults only this interface.
-	ports topo.Ported
-
-	homeAddr []int // node id -> its own address
-	logM     int
-	// dimBitOffset[d] is the global bit offset of nucleus dimension d
-	// within a group's bit field.
-	dimBitOffset []int
-	// subgroups caches, per nucleus dimension, the node-id groups of the
-	// front-group exchange in one flat array of NumDims x N ids: within
-	// dimension d's slab, blocks of radix, block i holding the radix nodes
-	// of one subgroup ordered by digit.  Node labels never move (only data
-	// does), so the grouping is static; subgroupsBuilt[d] marks filled
-	// slabs.
-	subgroups      []int32
-	subgroupsBuilt []bool
-	workers        int
-	// addrToNode is the lazily built inverse of homeAddr, used to present
-	// displaced (NoFinalRestore) results in address order.
-	addrToNode []int32
+	ports   topo.Ported
+	logM    int
+	workers int
 }
 
 // NewRunner prepares a runner; it requires a power-of-two nucleus.
-func NewRunner[T any](w *superipg.Network, g *ipg.Graph) (*Runner[T], error) {
+func NewRunner[T any](w *superipg.Network, g *superipg.Graph) (*Runner[T], error) {
 	logM, err := w.Nuc.TotalBits()
 	if err != nil {
 		return nil, err
 	}
-	r := &Runner[T]{W: w, G: g, ports: g, logM: logM, workers: runtime.GOMAXPROCS(0)}
-	r.subgroups = make([]int32, w.Nuc.NumDims()*g.N())
-	r.subgroupsBuilt = make([]bool, w.Nuc.NumDims())
-	off := 0
-	for d := 0; d < w.Nuc.NumDims(); d++ {
-		r.dimBitOffset = append(r.dimBitOffset, off)
-		b, err := w.Nuc.DimBits(d)
-		if err != nil {
-			return nil, err
-		}
-		off += b
-	}
-	r.homeAddr = make([]int, g.N())
-	var lbl perm.Label
-	for v := 0; v < g.N(); v++ {
-		lbl = g.LabelInto(v, lbl)
-		a, err := w.AddressOf(lbl)
-		if err != nil {
-			return nil, err
-		}
-		r.homeAddr[v] = a
-	}
-	return r, nil
+	return &Runner[T]{W: w, G: g, ports: g, logM: logM, workers: runtime.GOMAXPROCS(0)}, nil
 }
 
 // LogN returns log2 of the network size.
@@ -190,7 +151,7 @@ func (r *Runner[T]) Run(data []T, pass Pass, op BitOp[T]) ([]T, Stats, error) {
 		// zero-communication view of the displaced results).
 		byNode := make([]T, len(out))
 		for v := range out {
-			byNode[r.nodeOfAddr(placement[v])] = out[v]
+			byNode[placement[v]] = out[v]
 		}
 		return byNode, st, nil
 	}
@@ -209,7 +170,9 @@ func (r *Runner[T]) RunPlaced(data []T, pass Pass, op BitOp[T]) ([]T, []int, Sta
 	cur := make([]T, len(data))
 	copy(cur, data)
 	vaddr := make([]int, len(data))
-	copy(vaddr, r.homeAddr)
+	for v := range vaddr {
+		vaddr[v] = v
+	}
 	tmpT := make([]T, len(data))
 	tmpA := make([]int, len(data))
 
@@ -247,9 +210,8 @@ func (r *Runner[T]) RunPlaced(data []T, pass Pass, op BitOp[T]) ([]T, []int, Sta
 	if !pass.NoFinalRestore {
 		applyWord(w.FinalWord(front))
 		for v := 0; v < g.N(); v++ {
-			if vaddr[v] != r.homeAddr[v] {
-				return nil, nil, st, fmt.Errorf("ascend: datum with address %d ended at node %d (home address %d)",
-					vaddr[v], v, r.homeAddr[v])
+			if vaddr[v] != v {
+				return nil, nil, st, fmt.Errorf("ascend: datum with address %d ended at node %d", vaddr[v], v)
 			}
 		}
 	} else {
@@ -266,76 +228,12 @@ func (r *Runner[T]) RunPlaced(data []T, pass Pass, op BitOp[T]) ([]T, []int, Sta
 	return cur, vaddr, st, nil
 }
 
-// nodeOfAddr returns the node whose home address is a (lazily built
-// inverse of homeAddr).
-func (r *Runner[T]) nodeOfAddr(a int) int {
-	if r.addrToNode == nil {
-		r.addrToNode = make([]int32, len(r.homeAddr))
-		for v, ha := range r.homeAddr {
-			//lint:ignore indextrunc v < g.N() <= ipg.MaxNodes (1<<22)
-			r.addrToNode[ha] = int32(v)
-		}
-	}
-	return int(r.addrToNode[a])
-}
-
-// dimSubgroups returns (building and caching on first use) the exchange
-// subgroups of nucleus dimension d: g.N() node ids in blocks of radix,
-// each block one subgroup ordered by dimension-d digit.  The result is a
-// view into dimension d's slab of the flat cache.
-func (r *Runner[T]) dimSubgroups(d int) ([]int32, error) {
-	g, w := r.G, r.W
-	flat := r.subgroups[d*g.N() : (d+1)*g.N()]
-	if r.subgroupsBuilt[d] {
-		return flat, nil
-	}
-	nuc := w.Nuc
-	m := w.SymbolLen()
-	radix := nuc.Dims[d].Radix
-	idx := make(map[string]int32, g.N()/radix)
-	for i := range flat {
-		flat[i] = -1
-	}
-	scratch := make([]byte, m)
-	next := int32(0)
-	var lbl perm.Label
-	for v := 0; v < g.N(); v++ {
-		lbl = g.LabelInto(v, lbl)
-		copy(scratch, lbl[:m])
-		digit, err := nuc.Digit(scratch, d)
-		if err != nil {
-			return nil, err
-		}
-		if err := nuc.SetDigit(scratch, d, 0); err != nil {
-			return nil, err
-		}
-		key := string(scratch) + string(lbl[m:])
-		block, ok := idx[key]
-		if !ok {
-			block = next
-			next++
-			idx[key] = block
-		}
-		slot := int(block)*radix + digit
-		if flat[slot] != -1 {
-			return nil, fmt.Errorf("ascend: duplicate digit %d in subgroup of dim %d", digit, d)
-		}
-		//lint:ignore indextrunc v < g.N() <= ipg.MaxNodes (1<<22)
-		flat[slot] = int32(v)
-	}
-	for i, v := range flat {
-		if v < 0 {
-			return nil, fmt.Errorf("ascend: dim %d subgroup block %d missing digit %d", d, i/radix, i%radix)
-		}
-	}
-	r.subgroupsBuilt[d] = true
-	return flat, nil
-}
-
 // exchange performs the nucleus dimension-d exchange in the front group:
 // the radix items of every dimension-d subgroup run a butterfly over the
-// dimension's bits.  Subgroups are independent, so they execute on a
-// worker pool.
+// dimension's bits.  A subgroup is the radix nodes whose addresses differ
+// only in the dimension-d digit of the front group's nucleus address,
+// which weighs stride, the product of the lower dimensions' radices.
+// Subgroups are independent, so they execute on a worker pool.
 func (r *Runner[T]) exchange(cur []T, vaddr []int, d int, descBits bool, op BitOp[T], st *Stats) error {
 	nuc := r.W.Nuc
 	radix := nuc.Dims[d].Radix
@@ -343,16 +241,17 @@ func (r *Runner[T]) exchange(cur []T, vaddr []int, d int, descBits bool, op BitO
 	if err != nil {
 		return err
 	}
-	flat, err := r.dimSubgroups(d)
-	if err != nil {
-		return err
+	stride := 1
+	for _, lower := range nuc.Dims[:d] {
+		stride *= lower.Radix
 	}
-	nblocks := len(flat) / radix
+	nblocks := r.G.N() / radix
 	var firstErr error
 	var errMu sync.Mutex
 	r.parallelBlocks(nblocks, func(lo, hi int) {
 		for blk := lo; blk < hi; blk++ {
-			sg := flat[blk*radix : (blk+1)*radix]
+			// Block blk's first node has digit 0 in dimension d.
+			base := blk/stride*stride*radix + blk%stride
 			for bi := 0; bi < nbits; bi++ {
 				b := bi
 				if descBits {
@@ -363,7 +262,7 @@ func (r *Runner[T]) exchange(cur []T, vaddr []int, d int, descBits bool, op BitO
 						continue
 					}
 					y := x | 1<<b
-					va, vb := sg[x], sg[y]
+					va, vb := base+x*stride, base+y*stride
 					a0, a1 := vaddr[va], vaddr[vb]
 					if a0&^a1 != 0 || bits.OnesCount(uint(a1^a0)) != 1 {
 						// The pair must differ in exactly one bit, with the

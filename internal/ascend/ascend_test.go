@@ -6,12 +6,11 @@ import (
 	"math/rand"
 	"testing"
 
-	"ipg/internal/ipg"
 	"ipg/internal/nucleus"
 	"ipg/internal/superipg"
 )
 
-func runnerFor[T any](t *testing.T, w *superipg.Network) (*Runner[T], *ipg.Graph) {
+func runnerFor[T any](t *testing.T, w *superipg.Network) (*Runner[T], *superipg.Graph) {
 	t.Helper()
 	g, err := w.Build()
 	if err != nil {
@@ -51,7 +50,7 @@ func TestAscendMatchesReference(t *testing.T) {
 		}
 		byNode := make([]float64, n)
 		for v := 0; v < n; v++ {
-			byNode[v] = byAddr[r.homeAddr[v]]
+			byNode[v] = byAddr[v]
 		}
 		got, st, err := r.Run(byNode, AscendPass(w), op)
 		if err != nil {
@@ -59,8 +58,8 @@ func TestAscendMatchesReference(t *testing.T) {
 		}
 		want := Reference(byAddr, AscendBits(r.LogN()), op)
 		for v := 0; v < n; v++ {
-			if math.Abs(got[v]-want[r.homeAddr[v]]) > 1e-9 {
-				t.Fatalf("%s: node %d: got %v want %v", w.Name(), v, got[v], want[r.homeAddr[v]])
+			if math.Abs(got[v]-want[v]) > 1e-9 {
+				t.Fatalf("%s: node %d: got %v want %v", w.Name(), v, got[v], want[v])
 			}
 		}
 		if st.CommSteps != st.SuperSteps+st.Exchanges {
@@ -82,7 +81,7 @@ func TestDescendMatchesReference(t *testing.T) {
 		}
 		byNode := make([]float64, n)
 		for v := 0; v < n; v++ {
-			byNode[v] = byAddr[r.homeAddr[v]]
+			byNode[v] = byAddr[v]
 		}
 		got, _, err := r.Run(byNode, DescendPass(w), op)
 		if err != nil {
@@ -90,7 +89,7 @@ func TestDescendMatchesReference(t *testing.T) {
 		}
 		want := Reference(byAddr, DescendBits(r.LogN()), op)
 		for v := 0; v < n; v++ {
-			if math.Abs(got[v]-want[r.homeAddr[v]]) > 1e-9 {
+			if math.Abs(got[v]-want[v]) > 1e-9 {
 				t.Fatalf("%s: node %d mismatch", w.Name(), v)
 			}
 		}
@@ -395,7 +394,7 @@ func TestRadix4ButterflyOrder(t *testing.T) {
 	}
 	byNode := make([]float64, n)
 	for v := 0; v < n; v++ {
-		byNode[v] = byAddr[r.homeAddr[v]]
+		byNode[v] = byAddr[v]
 	}
 	op := func(bit, a0, a1 int, x, y float64) (float64, float64) {
 		return x + y*float64(bit+1), x*float64(bit+2) - y
@@ -406,7 +405,7 @@ func TestRadix4ButterflyOrder(t *testing.T) {
 	}
 	want := Reference(byAddr, AscendBits(r.LogN()), op)
 	for v := 0; v < n; v++ {
-		if math.Abs(got[v]-want[r.homeAddr[v]]) > 1e-9 {
+		if math.Abs(got[v]-want[v]) > 1e-9 {
 			t.Fatalf("radix-4 mismatch at node %d", v)
 		}
 	}

@@ -47,9 +47,8 @@ func MatMulDNS(r *Runner[ABPair], rc *Runner[float64], a, b [][]float64) ([][]fl
 	// Initial placement: layer k=0 holds A and B.
 	byNode := make([]ABPair, n)
 	for v := 0; v < n; v++ {
-		addr := r.homeAddr[v]
-		if addr>>(2*lp) == 0 {
-			byNode[v] = ABPair{a: a[iOf(addr)][jOf(addr)], b: b[iOf(addr)][jOf(addr)]}
+		if v>>(2*lp) == 0 {
+			byNode[v] = ABPair{a: a[iOf(v)][jOf(v)], b: b[iOf(v)][jOf(v)]}
 		}
 	}
 	var total Stats
@@ -159,9 +158,8 @@ func MatMulDNS(r *Runner[ABPair], rc *Runner[float64], a, b [][]float64) ([][]fl
 		c[i] = make([]float64, p)
 	}
 	for v := 0; v < n; v++ {
-		addr := rc.homeAddr[v]
-		if addr>>(2*lp) == 0 {
-			c[iOf(addr)][jOf(addr)] = summed[v]
+		if v>>(2*lp) == 0 {
+			c[iOf(v)][jOf(v)] = summed[v]
 		}
 	}
 	return c, total, nil

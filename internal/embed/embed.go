@@ -17,7 +17,6 @@ import (
 	"fmt"
 
 	"ipg/internal/graph"
-	"ipg/internal/ipg"
 	"ipg/internal/superipg"
 )
 
@@ -145,10 +144,10 @@ func CompleteBinaryTree(d int) *Embedding {
 // IntoSuperIPG composes a hypercube embedding with the identity
 // label-space embedding of the ln-cube into a hypercube-nucleus super-IPG
 // (the HPN(l, Q_n) of Theorem 3.1): host vertex h of the cube maps to the
-// super-IPG node whose address is h.  The composition multiplies dilation
+// super-IPG node whose address is h, which is node h.  The composition multiplies dilation
 // by at most the SDC slowdown (3 for HSN/complete-CN/SFN), per Corollary
 // 3.4.
-func IntoSuperIPG(e *Embedding, w *superipg.Network, g *ipg.Graph) (*Embedding, error) {
+func IntoSuperIPG(e *Embedding, w *superipg.Network, g *superipg.Graph) (*Embedding, error) {
 	logN := 0
 	for 1<<logN < g.N() {
 		logN++
@@ -162,15 +161,10 @@ func IntoSuperIPG(e *Embedding, w *superipg.Network, g *ipg.Graph) (*Embedding, 
 		Map:       make([]int, len(e.Map)),
 	}
 	for u, h := range e.Map {
-		lbl, err := w.LabelOf(h)
-		if err != nil {
-			return nil, err
-		}
-		id := g.NodeID(lbl)
-		if id < 0 {
+		if h < 0 || h >= g.N() {
 			return nil, fmt.Errorf("embed: address %d has no node in %s", h, w.Name())
 		}
-		out.Map[u] = id
+		out.Map[u] = h
 	}
 	return out, nil
 }

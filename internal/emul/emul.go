@@ -76,6 +76,23 @@ func HPNNeighbor(w *superipg.Network, x perm.Label, j int) (perm.Label, error) {
 	return out, nil
 }
 
+// HPNNeighborNode is HPNNeighbor on node ids, which are addresses: digit
+// j1-1 of v (group j1's nucleus address) moves along nucleus generator j0
+// of ng, the nucleus adjacency (superipg.Network.NucleusAdjacency), and
+// the other digits stay.
+func HPNNeighborNode(w *superipg.Network, ng *ipg.Adjacency, v, j int) (int, error) {
+	n := w.NumNucGens()
+	if j < 1 || j > w.L*n {
+		return 0, fmt.Errorf("emul: dimension %d out of range 1..%d", j, w.L*n)
+	}
+	weight := 1
+	for range (j - 1) / n {
+		weight *= w.Nuc.M
+	}
+	d := v / weight % w.Nuc.M
+	return v + (ng.Neighbor(d, (j-1)%n)-d)*weight, nil
+}
+
 // VerifyDimension checks that applying DimensionWord(j) to label x lands
 // exactly on the HPN dimension-j neighbor of x.
 func VerifyDimension(w *superipg.Network, x perm.Label, j int) error {
@@ -136,7 +153,11 @@ type DilationResult struct {
 
 // MeasureDilation computes the dilation by BFS from each of the sample
 // nodes (all nodes if sample <= 0 or >= N) in the materialized graph.
-func MeasureDilation(w *superipg.Network, g *ipg.Graph, sample int) (DilationResult, error) {
+func MeasureDilation(w *superipg.Network, g *superipg.Graph, sample int) (DilationResult, error) {
+	ng, err := w.NucleusAdjacency()
+	if err != nil {
+		return DilationResult{}, err
+	}
 	u := g.Undirected()
 	nd := w.L * w.NumNucGens()
 	res := DilationResult{
@@ -148,19 +169,13 @@ func MeasureDilation(w *superipg.Network, g *ipg.Graph, sample int) (DilationRes
 	if sample > 0 && sample < n {
 		step = n / sample
 	}
-	var lbl perm.Label
 	for v := 0; v < n; v += step {
 		dist := u.BFS(v)
 		res.SampleNodes++
-		lbl = g.LabelInto(v, lbl)
 		for j := 1; j <= nd; j++ {
-			nb, err := HPNNeighbor(w, lbl, j)
+			id, err := HPNNeighborNode(w, ng, v, j)
 			if err != nil {
 				return res, err
-			}
-			id := g.NodeID(nb)
-			if id < 0 {
-				return res, fmt.Errorf("emul: HPN neighbor %v not a node of %s", nb, w.Name())
 			}
 			if id == v {
 				continue // HPN self-loop cannot occur; defensive

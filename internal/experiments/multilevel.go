@@ -32,14 +32,20 @@ func runMultiLevel(scale Scale) (*Result, error) {
 		return nil, err
 	}
 	u := g.Undirected()
-	mInner := 2 * k // symbols per innermost Q_k group
-	chipOf, nChips := g.ClustersBy(mInner)
-	// Boards: nodes sharing the suffix beyond the inner HSN label.
-	mMid := w.SymbolLen() // symbols of the inner HSN (= nucleus of the outer level)
-	boardOfNode, nBoards := g.ClustersBy(mMid)
-	boardOfChip := make([]int32, nChips)
-	for v := 0; v < g.N(); v++ {
-		boardOfChip[chipOf[v]] = boardOfNode[v]
+	// Node v is its address, and the outer nucleus (the inner HSN) is
+	// numbered by its own addresses, so the innermost Q_k copy of v is
+	// v / 2^k and its inner HSN copy is v / M.
+	mInner, mMid := 1<<k, w.Nuc.M
+	chipOf := make([]int32, g.N())
+	for v := range chipOf {
+		//lint:ignore indextrunc v < g.N() <= ipg.MaxNodes (1<<22)
+		chipOf[v] = int32(v / mInner)
+	}
+	nBoards := g.N() / mMid
+	boardOfChip := make([]int32, g.N()/mInner)
+	for c := range boardOfChip {
+		//lint:ignore indextrunc c < g.N() <= ipg.MaxNodes (1<<22)
+		boardOfChip[c] = int32(c * mInner / mMid)
 	}
 	two, err := mcmp.NewTwoLevel(w.Name(), u, chipOf, boardOfChip)
 	if err != nil {

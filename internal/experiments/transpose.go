@@ -59,28 +59,9 @@ func runTranspose(scale Scale) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Map the address-space permutation onto node ids.
-	nodePerm := make([]int32, g.N())
-	nodeOfAddr := make([]int32, g.N())
-	var lbl []byte // perm names the address permutation here
-	for v := 0; v < g.N(); v++ {
-		lbl = g.LabelInto(v, lbl)
-		a, err := w.AddressOf(lbl)
-		if err != nil {
-			return nil, err
-		}
-		//lint:ignore indextrunc v < g.N() <= ipg.MaxNodes (1<<22)
-		nodeOfAddr[a] = int32(v)
-	}
-	for v := 0; v < g.N(); v++ {
-		lbl = g.LabelInto(v, lbl)
-		a, err := w.AddressOf(lbl)
-		if err != nil {
-			return nil, err
-		}
-		nodePerm[v] = nodeOfAddr[perm[a]]
-	}
-	resH, err := netsim.RunPermutation(hsnNet, 3, nodePerm, maxRounds)
+	// Node ids are addresses, so the address-space permutation applies
+	// as it stands.
+	resH, err := netsim.RunPermutation(hsnNet, 3, perm, maxRounds)
 	if err != nil {
 		return nil, err
 	}

@@ -33,11 +33,11 @@ func TestSuperIPGsMatchReference(t *testing.T) {
 	}
 }
 
-// TestNodeIDAllocationFree holds NodeID to zero allocations on HSN(3,Q4):
-// HSNRouter and netsim's orbit maps call it once per node, and concurrent
-// requests share the graph, so it packs its argument on its own stack.
+// TestNodeIDAllocationFree holds NodeID to zero allocations on the
+// closure of HSN(3,Q4): a label lookup hashes the label in place, so
+// concurrent callers can share the graph.
 func TestNodeIDAllocationFree(t *testing.T) {
-	g := superipg.HSN(3, nucleus.Hypercube(4)).MustBuild()
+	g := ipg.MustBuild(superipg.HSN(3, nucleus.Hypercube(4)).Spec())
 	lbl := g.Label(g.N() - 1)
 	allocs := testing.AllocsPerRun(100, func() {
 		if g.NodeID(lbl) != g.N()-1 {
@@ -46,5 +46,80 @@ func TestNodeIDAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("NodeID makes %v allocations, want 0", allocs)
+	}
+}
+
+// digitRuleCases are the networks the digit rule is checked on: HSN,
+// ring-CN, complete-CN, SFN and directed-CN over eight nuclei at l = 2
+// and 3, and the recursive and product constructions, 89 in all.
+func digitRuleCases(t *testing.T) []*superipg.Network {
+	var out []*superipg.Network
+	for _, spec := range []string{"q2", "q3", "q4", "fq3", "k4", "c5", "s3", "ghc:3,2"} {
+		for l := 2; l <= 3; l++ {
+			for _, family := range []func(int, *nucleus.Nucleus) *superipg.Network{
+				superipg.HSN, superipg.RingCN, superipg.CompleteCN, superipg.SFN, superipg.DirectedCN,
+			} {
+				nuc, err := nucleus.Parse(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, family(l, nuc))
+			}
+		}
+	}
+	q2 := nucleus.Hypercube(2)
+	return append(out,
+		superipg.HCN(3), superipg.HCN(4), superipg.RCC(2, q2), superipg.RCC(3, q2),
+		superipg.RHSN(2, 2, q2), superipg.RHSN(2, 2, nucleus.Complete(3)), superipg.HFN(3), superipg.HFN(4),
+		superipg.HSN(2, nucleus.Product(q2, nucleus.Complete(3))))
+}
+
+// TestDigitRuleMatchesReference checks the digit rule, by which every
+// super-IPG gets its adjacency, against the map-based reference closure
+// relabeled by AddressOf: the same nodes, with node 0 the seed, and the
+// same node behind every port, self-loops included, both in a built
+// Graph and in the rows of the implicit codec.
+func TestDigitRuleMatchesReference(t *testing.T) {
+	cases := digitRuleCases(t)
+	if len(cases) != 89 {
+		t.Fatalf("%d cases, want 89", len(cases))
+	}
+	for _, w := range cases {
+		labels, adj := ipg.ReferenceBuild(w.Spec())
+		g, err := w.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name(), err)
+		}
+		im, err := w.Implicit()
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name(), err)
+		}
+		if g.N() != len(labels) || im.N() != len(labels) {
+			t.Fatalf("%s: %d nodes built and %d implicit, reference has %d", w.Name(), g.N(), im.N(), len(labels))
+		}
+		if !g.Label(0).Equal(w.Seed()) || g.NodeID(w.Seed()) != 0 {
+			t.Fatalf("%s: node 0 is %v, not the seed %v", w.Name(), g.Label(0), w.Seed())
+		}
+		addr := make([]int, len(labels))
+		for v, l := range labels {
+			if addr[v] = g.NodeID(l); addr[v] < 0 || !g.Label(addr[v]).Equal(l) {
+				t.Fatalf("%s: reference node %d (%v) has address %d", w.Name(), v, l, addr[v])
+			}
+		}
+		ng := g.NumGens()
+		var row []int32
+		for v := range labels {
+			a := addr[v]
+			row = im.Codec().AppendNeighbors(a, row[:0])
+			for gi := range ng {
+				want := addr[adj[v*ng+gi]]
+				if got := g.Neighbor(a, gi); got != want {
+					t.Fatalf("%s: port %d of node %d leads to %d, reference %d", w.Name(), gi, a, got, want)
+				}
+				if int(row[gi]) != want {
+					t.Fatalf("%s: implicit port %d of node %d leads to %d, reference %d", w.Name(), gi, a, row[gi], want)
+				}
+			}
+		}
 	}
 }

@@ -133,9 +133,8 @@ func TestNodeID(t *testing.T) {
 			t.Errorf("NodeID(%q) = %d, want -1 (absent or wrong length)", l, got)
 		}
 	}
-	// The seed's largest symbol is 3, so labels pack at 2 bits a symbol,
-	// and a larger symbol must not reach its neighbour's bits: packed
-	// unchecked, 9 = 0b1001 followed by 0 would read as the seed's 1, 2.
+	// Symbols outside the seed's alphabet (its largest symbol is 3)
+	// name no node.
 	for _, l := range []string{"903321", "123324", "12332f"} {
 		if got := g.NodeID(perm.MustParseLabel(l)); got != -1 {
 			t.Errorf("NodeID(%q) = %d, want -1 (symbol outside the alphabet)", l, got)
@@ -164,25 +163,6 @@ func TestGeneratorEdgeCount(t *testing.T) {
 		}
 		if loops != want[gi] {
 			t.Errorf("generator %d has %d self-loops, want %d", gi, loops, want[gi])
-		}
-	}
-}
-
-func TestClustersBy(t *testing.T) {
-	g := MustBuild(section2Spec())
-	// Cluster on the last 3 symbols: nucleus-like grouping.
-	clusterOf, nc := g.ClustersBy(3)
-	if nc <= 1 || nc >= g.N() {
-		t.Fatalf("implausible cluster count %d", nc)
-	}
-	// Nodes in the same cluster share suffixes.
-	for v := 0; v < g.N(); v++ {
-		for w := v + 1; w < g.N(); w++ {
-			same := clusterOf[v] == clusterOf[w]
-			suffixEq := g.Label(v)[3:].Equal(g.Label(w)[3:])
-			if same != suffixEq {
-				t.Fatalf("cluster/suffix mismatch at %d,%d", v, w)
-			}
 		}
 	}
 }
@@ -231,10 +211,12 @@ func TestQuickClosureInvariants(t *testing.T) {
 	}
 }
 
-// referenceBuild is the closure as Build computed it before the label
+// ReferenceBuild is the closure as Build computed it before the label
 // arena: one cloned label per node and a map from label to node id.  It
 // numbers nodes in the same BFS order, so a Graph must match it exactly.
-func referenceBuild(spec Spec) (labels []perm.Label, adj []int32) {
+// It is exported to this directory's external tests, which relabel it to
+// check superipg's digit rule.
+func ReferenceBuild(spec Spec) (labels []perm.Label, adj []int32) {
 	index := make(map[string]int32)
 	add := func(l perm.Label) int32 {
 		id := int32(len(labels))
@@ -257,7 +239,7 @@ func referenceBuild(spec Spec) (labels []perm.Label, adj []int32) {
 	return labels, adj
 }
 
-// CheckAgainstReference builds spec with Build and with referenceBuild
+// CheckAgainstReference builds spec with Build and with ReferenceBuild
 // and fails t unless both give the same node count, label order and
 // adjacency, and NodeID inverts Label on every node.  It is exported to
 // this directory's external tests, which build super-IPG specs.
@@ -267,7 +249,7 @@ func CheckAgainstReference(t testing.TB, spec Spec) {
 	if err != nil {
 		t.Fatalf("%s: %v", spec.Name, err)
 	}
-	labels, adj := referenceBuild(spec)
+	labels, adj := ReferenceBuild(spec)
 	if g.N() != len(labels) {
 		t.Fatalf("%s: %d nodes, reference has %d", spec.Name, g.N(), len(labels))
 	}
@@ -352,43 +334,38 @@ func alphabetSpec(k, n int, star bool) Spec {
 	return Spec{Name: fmt.Sprintf("alphabet%d-%d", k, n), Seed: seed, Gens: gens}
 }
 
-// TestSymbolWidths builds IPGs over alphabets that take every symbol
-// width from 1 to 8 bits (at 3, 5, 6 and 7 bits symbols straddle
-// bytes), with records of one word and of several words, and compares
-// each with the reference closure.
+// TestSymbolWidths builds IPGs over alphabets whose largest symbol
+// takes every width from 1 to 8 bits, with labels of 5 to 259 symbols,
+// and compares each with the reference closure.
 func TestSymbolWidths(t *testing.T) {
 	for _, tc := range []struct {
-		k, n  int
-		star  bool
-		bits  uint
-		bytes int // record bytes
+		k, n int
+		star bool
+		bits uint // of the largest symbol
 	}{
-		{2, 5, true, 1, 1},
-		{2, 13, true, 1, 2},
-		{2, 70, false, 1, 9},
-		{3, 9, true, 2, 3},
-		{4, 8, true, 2, 2},
-		{4, 40, false, 2, 10},
-		{5, 7, true, 3, 3},
-		{8, 11, false, 3, 5},
-		{8, 30, false, 3, 12},
-		{9, 12, false, 4, 6},
-		{17, 20, false, 5, 13},
-		{33, 36, false, 6, 29},
-		{65, 68, false, 7, 61},
-		{129, 132, false, 8, 132},
-		{256, 259, false, 8, 259},
+		{2, 5, true, 1},
+		{2, 13, true, 1},
+		{2, 70, false, 1},
+		{3, 9, true, 2},
+		{4, 8, true, 2},
+		{4, 40, false, 2},
+		{5, 7, true, 3},
+		{8, 11, false, 3},
+		{8, 30, false, 3},
+		{9, 12, false, 4},
+		{17, 20, false, 5},
+		{33, 36, false, 6},
+		{65, 68, false, 7},
+		{129, 132, false, 8},
+		{256, 259, false, 8},
 	} {
 		spec := alphabetSpec(tc.k, tc.n, tc.star)
 		g := MustBuild(spec)
-		if g.pk.bits != tc.bits || g.rec != tc.bytes {
-			t.Errorf("%s: %d bits a symbol in %d-byte records, want %d in %d", spec.Name, g.pk.bits, g.rec, tc.bits, tc.bytes)
-		}
-		if len(g.labels) != g.N()*g.rec {
-			t.Errorf("%s: arena holds %d bytes for %d nodes of %d", spec.Name, len(g.labels), g.N(), g.rec)
+		if len(g.labels) != g.N()*tc.n {
+			t.Errorf("%s: arena holds %d bytes for %d nodes of %d", spec.Name, len(g.labels), g.N(), tc.n)
 		}
 		// The seed starts 0, 1; symbol 1<<bits in front of a 0 is outside
-		// the alphabet, but packed unchecked it would read as the seed.
+		// the alphabet.
 		if tc.bits < 8 {
 			l := spec.Seed.Clone()
 			l[0], l[1] = 1<<tc.bits, 0

@@ -5,8 +5,6 @@ package mcmp
 import (
 	"fmt"
 
-	"ipg/internal/ipg"
-	"ipg/internal/perm"
 	"ipg/internal/superipg"
 	"ipg/internal/topology"
 )
@@ -155,30 +153,23 @@ func ButterflyBisection(b *topology.Butterfly, c *Clustered, a int) ([]int8, err
 
 // ClusterSuperIPG puts each nucleus copy of a materialized super-IPG on one
 // chip.
-func ClusterSuperIPG(w *superipg.Network, g *ipg.Graph) (*Clustered, error) {
+func ClusterSuperIPG(w *superipg.Network, g *superipg.Graph) (*Clustered, error) {
 	clusterOf, _ := w.Clusters(g)
 	return NewClustered(w.Name(), g.Undirected(), clusterOf)
 }
 
 // SuperIPGBisection splits the super-IPG by the value of group 2: nodes
-// whose second super-symbol encodes a nucleus address below M/2 go to side
-// 0.  For HSN and SFN this cuts exactly N/4 links (only the T2/F2 links
+// whose second super-symbol encodes a nucleus address below M/2, digit 1
+// of their address, go to side 0.  For HSN and SFN this cuts exactly N/4 links (only the T2/F2 links
 // whose two labels disagree on the predicate), the partition behind
 // Corollary 4.8.
-func SuperIPGBisection(w *superipg.Network, g *ipg.Graph, c *Clustered) ([]int8, error) {
-	m := w.SymbolLen()
-	half := w.Nuc.M / 2
+func SuperIPGBisection(w *superipg.Network, g *superipg.Graph, c *Clustered) ([]int8, error) {
+	M := w.Nuc.M
 	side := make([]int8, c.Chips)
 	assigned := make([]bool, c.Chips)
-	var lbl perm.Label
 	for v := 0; v < g.N(); v++ {
-		lbl = g.LabelInto(v, lbl)
-		addr2, err := w.Nuc.AddressOf(lbl.Group(m, 1))
-		if err != nil {
-			return nil, err
-		}
 		s := int8(0)
-		if addr2 >= half {
+		if v/M%M >= M/2 {
 			s = 1
 		}
 		chip := c.ClusterOf[v]

@@ -5,7 +5,6 @@ package netsim
 import (
 	"fmt"
 
-	"ipg/internal/ipg"
 	"ipg/internal/superipg"
 	"ipg/internal/topo"
 )
@@ -118,7 +117,7 @@ func BuildTorus2D(k, side int, chipCapacity float64) (*Network, error) {
 // map, for every other family.  Over a vertex-transitive nucleus the
 // other families also get the orbit maps that let a TableRouter, built
 // here or later by NewTableRouter, keep one row per cluster.
-func BuildSuperIPG(w *superipg.Network, g *ipg.Graph, chipCapacity float64, router Router) (*Network, error) {
+func BuildSuperIPG(w *superipg.Network, g *superipg.Graph, chipCapacity float64, router Router) (*Network, error) {
 	if err := checkNodeCount(g.N()); err != nil {
 		return nil, err
 	}
@@ -171,7 +170,7 @@ func BuildSuperIPG(w *superipg.Network, g *ipg.Graph, chipCapacity float64, rout
 		Router:    router,
 	}
 	if !swapFamily(w) && w.Nuc.VertexTransitive() && g.N() <= maxTableNodes {
-		net.orbit = superOrbits(w, g, pm)
+		net.orbit = superOrbits(w, pm)
 	}
 	if net.Router == nil {
 		if swapFamily(w) {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"ipg/internal/ipg"
-	"ipg/internal/perm"
 	"ipg/internal/superipg"
 	"ipg/internal/topo"
 )
@@ -49,13 +48,14 @@ func (r TorusRouter) NextPort(cur, dst int) int {
 // the first — the optimum that Theorem 4.1's routing achieves.
 type HSNRouter struct {
 	w *superipg.Network
-	// group[v*l+i] is the nucleus node id holding group i of node v.
+	// group[v*l+i] is digit i of node v: the nucleus address of its
+	// group i+1.
 	group []uint16
 	l     int
-	// nextGen[b*nucM+a] is the nucleus generator moving nucleus node a one
-	// hop toward b: destination-major, one BFS row per destination.
+	// nextGen[b*nucM+a] is the nucleus generator moving nucleus address a
+	// one hop toward b: destination-major, one BFS row per destination.
 	nextGen []int16
-	m, nucM int
+	nucM    int
 }
 
 // swapFamily reports whether w routes hierarchically with HSNRouter.
@@ -63,8 +63,9 @@ func swapFamily(w *superipg.Network) bool {
 	return w.Family == "HSN" || w.Family == "HCN" || w.Family == "RCC"
 }
 
-// NewHSNRouter precomputes label digests and the nucleus routing table.
-func NewHSNRouter(w *superipg.Network, g *ipg.Graph) (*HSNRouter, error) {
+// NewHSNRouter precomputes every node's digits and the nucleus routing
+// table.
+func NewHSNRouter(w *superipg.Network, g *superipg.Graph) (*HSNRouter, error) {
 	if !swapFamily(w) {
 		return nil, fmt.Errorf("netsim: HSNRouter supports swap families, not %s", w.Family)
 	}
@@ -76,36 +77,33 @@ func NewHSNRouter(w *superipg.Network, g *ipg.Graph) (*HSNRouter, error) {
 	if err := checkNodeCount(g.N()); err != nil {
 		return nil, err
 	}
-	ng, err := w.Nuc.Build()
+	ng, err := w.NucleusAdjacency()
 	if err != nil {
 		return nil, err
 	}
-	r := &HSNRouter{w: w, l: w.L, m: w.SymbolLen(), nucM: ng.N()}
+	r := &HSNRouter{w: w, l: w.L, nucM: ng.N()}
 	r.group = make([]uint16, g.N()*w.L)
-	var lbl perm.Label
 	for v := 0; v < g.N(); v++ {
-		lbl = g.LabelInto(v, lbl)
-		for i := 0; i < w.L; i++ {
-			id := ng.NodeID(lbl.Group(r.m, i))
-			if id < 0 {
-				return nil, fmt.Errorf("netsim: group %d of node %d is not a node of nucleus %s", i, v, w.Nuc.Name)
-			}
-			r.group[v*w.L+i] = uint16(id)
+		a := v
+		for i := range r.group[v*w.L : (v+1)*w.L] {
+			r.group[v*w.L+i] = uint16(a % r.nucM) // a digit, below M <= 16384 (checkTableSize)
+			a /= r.nucM
 		}
 	}
-	if r.nextGen, err = nucleusNextGen(ng); err != nil {
+	if r.nextGen, err = nucleusNextGen(ng, w.Nuc.Name); err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
 // nucleusNextGen builds the all-pairs next-generator table of the nucleus
-// graph ng by the core's reverse BFS from every destination.  The reverse
+// adjacency ng, named name, by the core's reverse BFS from every
+// destination.  The reverse
 // arcs into v are v's generator images in generator order, each carrying
 // the lowest generator that leads back to v (the nucleus generator sets
 // here are inverse-closed, so the images of v are exactly the nodes with
 // an arc to v); that order fixes the table's tie-breaks.
-func nucleusNextGen(ng *ipg.Graph) ([]int16, error) {
+func nucleusNextGen(ng *ipg.Adjacency, name string) ([]int16, error) {
 	M := ng.N()
 	if err := checkNodeCount(M); err != nil {
 		return nil, err
@@ -132,7 +130,7 @@ func nucleusNextGen(ng *ipg.Graph) ([]int16, error) {
 	queue := make([]int32, 0, M)
 	for dst := 0; dst < M; dst++ {
 		if queue = ra.bfs(dst, dist, table[dst*M:(dst+1)*M], queue); len(queue) < M {
-			return nil, fmt.Errorf("netsim: nucleus %s disconnected", ng.Name)
+			return nil, fmt.Errorf("netsim: nucleus %s disconnected", name)
 		}
 	}
 	return table, nil

@@ -8,8 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"ipg/internal/ipg"
-	"ipg/internal/perm"
 	"ipg/internal/superipg"
 	"ipg/internal/topo"
 )
@@ -231,56 +229,44 @@ type orbitMaps struct {
 	state, row []uint16
 }
 
-// superOrbits returns the orbit maps of w's materialization g over its
-// port map ports, or nil when a map fails to keep ports or to carry a
-// node to a representative, which the nucleus's vertex-transitive proof
-// rules out.  The caller bounds g.N() by maxTableNodes, so node ids and
-// nucleus states fit a uint16.
-func superOrbits(w *superipg.Network, g *ipg.Graph, ports *topo.PortMap) *orbitMaps {
-	ng, err := w.Nuc.Build()
-	if err != nil {
-		return nil
+// superOrbits returns the orbit maps of w over its port map ports, or
+// nil when a map fails to keep ports or to carry a node to a
+// representative, which the nucleus's vertex-transitive proof rules
+// out.  Node v's nucleus state is its digit 0, v % M, and the
+// representatives are the multiples of M, whose first group is the
+// nucleus seed (address 0).  The caller bounds the node count by
+// maxTableNodes, so node ids and nucleus states fit a uint16.
+func superOrbits(w *superipg.Network, ports *topo.PortMap) *orbitMaps {
+	n, M := ports.N(), w.Nuc.M
+	o := &orbitMaps{sigma: make([]uint16, M*n), state: make([]uint16, n), row: make([]uint16, n)}
+	o.reps = make([]int32, n/M)
+	for i := range o.reps {
+		//lint:ignore indextrunc i*M < n <= 16384 (maxTableNodes)
+		o.reps[i] = int32(i * M)
 	}
-	n, m := g.N(), w.SymbolLen()
-	o := &orbitMaps{sigma: make([]uint16, ng.N()*n), state: make([]uint16, n), row: make([]uint16, n)}
-	seed := ng.NodeID(w.Nuc.Seed)
-	var lbl perm.Label
-	for v := 0; v < n; v++ {
-		lbl = g.LabelInto(v, lbl)
-		s := ng.NodeID(lbl.Group(m, 0))
-		if s < 0 {
-			return nil
-		}
-		o.state[v] = uint16(s) // s < M <= n <= 16384 (maxTableNodes), as is len(reps)
-		if s == seed {
-			o.row[v] = uint16(len(o.reps))
-			//lint:ignore indextrunc v < n <= 16384 (maxTableNodes)
-			o.reps = append(o.reps, int32(v))
-		}
+	for v := range o.state {
+		o.state[v] = uint16(v % M) // v % M < M <= n <= 16384 (maxTableNodes)
 	}
-	// σ_s carries the node whose groups all hold s to the one whose groups
-	// all hold the seed, and the rest of σ_s follows from σ(x·g) = σ(x)·g.
-	root := g.NodeID(w.Seed())
-	if root < 0 {
-		return nil
+	// σ_s carries the node whose groups all hold s, address s·(1 + M +
+	// … + M^(l-1)), to the seed, node 0, and the rest of σ_s follows from
+	// σ(x·g) = σ(x)·g.
+	ones := 0
+	for range w.L {
+		ones = ones*M + 1
 	}
 	queue := make([]int32, 0, n)
 	taken := make([]bool, n)
-	for s := 0; s < ng.N(); s++ {
-		lbl = ng.LabelInto(s, lbl)
-		from := g.NodeID(perm.RepeatGroups(lbl, w.L))
-		if from < 0 || !lockstep(ports, from, root, o.sigma[s*n:(s+1)*n], queue, taken) {
+	for s := 0; s < M; s++ {
+		if !lockstep(ports, s*ones, 0, o.sigma[s*n:(s+1)*n], queue, taken) {
 			return nil
 		}
 	}
-	// A representative's own row index is already set, and σ_seed is the
-	// identity, so each node reads its representative's.
 	for v := range o.row {
-		r := o.sigma[int(o.state[v])*n+v]
-		if int(o.state[r]) != seed {
+		r := int(o.sigma[int(o.state[v])*n+v])
+		if r%M != 0 {
 			return nil
 		}
-		o.row[v] = o.row[r]
+		o.row[v] = uint16(r / M) // r / M < n <= 16384 (maxTableNodes)
 	}
 	return o
 }

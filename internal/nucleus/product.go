@@ -8,9 +8,11 @@ import (
 
 // Product returns the nucleus realizing the Cartesian product a x b: labels
 // are the concatenation of an a-label and a b-label, generators are the
-// generators of a and b lifted to the combined label, and the dimension
-// structure is the concatenation of both (a's dimensions first, so a's
-// digits are least significant in the product address).
+// generators of a and b lifted to the combined label, and the product
+// address is a's address plus a.M times b's.  When both factors are
+// dimensionable the dimension structure is the concatenation of both
+// (a's dimensions first, so a's digits are least significant); otherwise
+// the product ranks through its factors' AddressOf and AppendLabel.
 //
 // Products of nuclei are what make recursively constructed super-IPGs
 // (e.g. RCC networks, whose basic modules at level r are products of the
@@ -48,7 +50,7 @@ func Product(a, b *Nucleus) *Nucleus {
 		dims = append(dims, Dim{Radix: d.Radix, GenIdx: shifted, offset: la + d.offset, symbols: d.symbols})
 	}
 
-	return &Nucleus{
+	nu := &Nucleus{
 		Name: fmt.Sprintf("%sx%s", a.Name, b.Name),
 		Seed: seed,
 		Gens: gens,
@@ -58,6 +60,25 @@ func Product(a, b *Nucleus) *Nucleus {
 		// product of two transitive generator-commuting groups is one.
 		vt: a.vt && b.vt,
 	}
+	if len(a.Dims) == 0 || len(b.Dims) == 0 {
+		nu.Dims = nil
+		nu.rankFn = func(l perm.Label) (int, error) {
+			x, err := a.AddressOf(l[:la])
+			if err != nil {
+				return 0, err
+			}
+			y, err := b.AddressOf(l[la:])
+			return x + a.M*y, err
+		}
+		nu.unrankFn = func(dst perm.Label, addr int) (perm.Label, error) {
+			dst, err := a.AppendLabel(dst, addr%a.M)
+			if err != nil {
+				return dst, err
+			}
+			return b.AppendLabel(dst, addr/a.M)
+		}
+	}
+	return nu
 }
 
 // Power returns the p-th Cartesian power of nu (p >= 1).

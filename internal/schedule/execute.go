@@ -4,8 +4,7 @@ import (
 	"fmt"
 
 	"ipg/internal/emul"
-	"ipg/internal/ipg"
-	"ipg/internal/perm"
+	"ipg/internal/superipg"
 )
 
 // Execute runs the schedule on a materialized super-IPG: every node starts
@@ -16,9 +15,13 @@ import (
 // just the resource constraints (see Verify) but the actual all-port data
 // movement, including the self-loop steps where a generator fixes a node's
 // label and no physical transmission occurs.
-func (s *Schedule) Execute(g *ipg.Graph) error {
+func (s *Schedule) Execute(g *superipg.Graph) error {
 	if g.N() == 0 {
 		return fmt.Errorf("schedule: empty graph")
+	}
+	ng, err := s.Net.NucleusAdjacency()
+	if err != nil {
+		return err
 	}
 	nd := s.L * s.N
 	n := g.N()
@@ -49,17 +52,11 @@ func (s *Schedule) Execute(g *ipg.Graph) error {
 			}
 		}
 	}
-	var lbl perm.Label
 	for j := 0; j < nd; j++ {
 		for v := 0; v < g.N(); v++ {
-			lbl = g.LabelInto(v, lbl)
-			want, err := emul.HPNNeighbor(s.Net, lbl, j+1)
+			wantID, err := emul.HPNNeighborNode(s.Net, ng, v, j+1)
 			if err != nil {
 				return err
-			}
-			wantID := g.NodeID(want)
-			if wantID < 0 {
-				return fmt.Errorf("schedule: HPN neighbor of node %d missing from graph", v)
 			}
 			if int(pos[j*g.N()+v]) != wantID {
 				return fmt.Errorf("schedule: dim-%d packet from node %d landed on %d, want %d",

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"ipg/internal/graph"
-	"ipg/internal/ipg"
 	"ipg/internal/ist"
 	"ipg/internal/mcmp"
 	"ipg/internal/netsim"
@@ -35,9 +34,10 @@ type Artifact struct {
 	Name   string // descriptive instance name, e.g. "HSN(3,Q4)"
 	N      int    // node count (known even when not materialized)
 
-	// Super-IPG families.
+	// Super-IPG families.  Node v is address v (superipg.Network's
+	// AddressOf) whether or not the instance is materialized.
 	W *superipg.Network
-	G *ipg.Graph // nil when the instance is too large to materialize
+	G *superipg.Graph // nil when the instance is not materialized
 
 	// U is the undirected structural graph: the super-IPG's undirected
 	// view, or the baseline family's graph.  nil only for an
@@ -386,23 +386,17 @@ func (a *Artifact) ISTrees(ctx context.Context, dst, k int) (*ist.Trees, error) 
 	return tr, nil
 }
 
-// routeLabels renders the node labels of a super-IPG route: materialized
-// artifacts unpack each from the built graph into one scratch label
-// (on the stack up to 64 symbols), implicit ones decode it from the
-// address (implicit super vertices ARE their group addresses, so LabelOf
-// inverts the codec's numbering exactly).
+// routeLabels renders the node labels of a super-IPG route, decoding
+// each node's address into one scratch label (on the stack up to 64
+// symbols): node ids are addresses in every representation.
 func (a *Artifact) routeLabels(path []int) ([]string, error) {
 	labels := make([]string, len(path))
 	var buf [64]byte
 	lbl := perm.Label(buf[:0])
 	for i, v := range path {
-		if a.G != nil {
-			lbl = a.G.LabelInto(v, lbl)
-		} else {
-			var err error
-			if lbl, err = a.W.LabelOf(v); err != nil {
-				return nil, err
-			}
+		var err error
+		if lbl, err = a.W.LabelInto(v, lbl); err != nil {
+			return nil, err
 		}
 		labels[i] = lbl.GroupedString(a.W.SymbolLen())
 	}

@@ -13,7 +13,6 @@ import (
 
 	"ipg/internal/fault"
 	"ipg/internal/netsim"
-	"ipg/internal/perm"
 	"ipg/internal/topo"
 )
 
@@ -680,7 +679,7 @@ func (s *Simulation) Run(ctx context.Context, a *Artifact, net *netsim.Network) 
 		res, err = netsim.RunTotalExchangeCtx(ctx, net, s.Seed, maxDrainRounds)
 	case "transpose":
 		var perm []int32
-		if perm, err = a.transposePerm(ctx); err == nil {
+		if perm, err = transposePerm(a); err == nil {
 			res, err = netsim.RunPermutationCtx(ctx, net, s.Seed, perm, maxDrainRounds)
 		}
 	default:
@@ -707,44 +706,14 @@ func transposeBits(a *Artifact) (int, error) {
 }
 
 // transposePerm returns the matrix transposition as a permutation of a's
-// simulator node ids.  Baseline node ids are addresses; a super-IPG's
-// nodes are numbered in BFS order, so the address-space permutation is
-// carried over through each node's label.
-func (a *Artifact) transposePerm(ctx context.Context) ([]int32, error) {
+// simulator node ids, which are addresses in every family.
+func transposePerm(a *Artifact) ([]int32, error) {
 	logN, err := transposeBits(a)
 	if err != nil {
 		return nil, err
 	}
 	tp, err := netsim.Transpose(logN)
-	if err != nil || !a.Super() {
-		return tp, asBadRequest(err)
-	}
-	mapped := make([]int32, a.N)
-	var lbl perm.Label
-	for v := 0; v < a.N; v++ {
-		if v&1023 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		lbl = a.G.LabelInto(v, lbl)
-		addr, err := a.W.AddressOf(lbl)
-		if err != nil {
-			return nil, err
-		}
-		dstAddr := tp[addr]
-		dstLabel, err := a.W.LabelOf(int(dstAddr))
-		if err != nil {
-			return nil, err
-		}
-		dv := a.G.NodeID(dstLabel)
-		if dv < 0 {
-			return nil, fmt.Errorf("serve: address %d maps to an unknown label", dstAddr)
-		}
-		//lint:ignore indextrunc node ids are < g.N() <= ipg.MaxNodes (1<<22)
-		mapped[v] = int32(dv)
-	}
-	return mapped, nil
+	return tp, asBadRequest(err)
 }
 
 // queryInt reads endpoint parameter i of q as an integer, def when unset.

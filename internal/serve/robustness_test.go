@@ -352,16 +352,20 @@ func TestMetricsDegraded(t *testing.T) {
 	}
 }
 
-// TestMetricsDegradedUnmaterialized checks that fault analysis on a
-// label-level-only artifact is refused as a client error rather than a
-// nil dereference.
+// TestMetricsDegradedUnmaterialized checks that fault analysis on an
+// unmaterialized artifact is refused as a client error rather than a nil
+// dereference.
 func TestMetricsDegradedUnmaterialized(t *testing.T) {
-	srv := NewServer(Config{Workers: 2, MaxNodes: 10}) // HSN(3,Q2) is 64 nodes: skeleton only
+	srv := NewServer(Config{Workers: 2, MaxNodes: 10}) // HSN(3,Q2) is 64 nodes: served implicitly
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	if resp := get(t, ts, "/v1/metrics?net=hsn&l=3&nucleus=q2", nil); resp.StatusCode != http.StatusOK {
-		t.Fatalf("label-level metrics: status %d", resp.StatusCode)
+	var doc MetricsDoc
+	if resp := get(t, ts, "/v1/metrics?net=hsn&l=3&nucleus=q2", &doc); resp.StatusCode != http.StatusOK {
+		t.Fatalf("implicit metrics: status %d", resp.StatusCode)
+	}
+	if doc.Materialized || doc.Representation != RepImplicit {
+		t.Fatalf("HSN(3,Q2) under a 10-node cap: representation %q, materialized %v; want implicit", doc.Representation, doc.Materialized)
 	}
 	resp := get(t, ts, "/v1/metrics?net=hsn&l=3&nucleus=q2&faults=2", nil)
 	if resp.StatusCode != http.StatusBadRequest {

@@ -10,17 +10,18 @@
 // length m has seed S1 S1 ... S1 (l copies of G's seed), the nucleus
 // generators of G lifted to the leftmost group, and family-specific
 // super-generators that permute whole groups.  Its M^l nodes are all
-// l-tuples of nucleus labels; the cluster of a node is the copy of the
-// nucleus it lies in, identified by the label suffix beyond the first
-// group.
+// l-tuples of nucleus labels, and node v is the tuple's mixed-radix
+// address (AddressOf, group 1 weighing 1) in every representation, so
+// node 0 is the seed.  The cluster of a node is the copy of the nucleus
+// it lies in: the nodes sharing every group beyond the first, v / M.
 package superipg
 
 //lint:file-ignore ctxflow intercluster scans are one O(N+M) pass per memoized metrics build, bounded by ipg.MaxNodes; the diameter entry points poll ctx between BFS batches
 
 import (
-	"bytes"
 	"context"
 	"fmt"
+	"sync"
 
 	"ipg/internal/graph"
 	"ipg/internal/ipg"
@@ -44,6 +45,12 @@ type Network struct {
 	// generator indices) that bring group i (1-based, 2..l) to the leftmost
 	// position and put the arrangement back to identity afterwards.
 	bring, restore [][]int
+
+	// The digit rule (digits.go), built on first use by Build or
+	// Implicit.
+	ruleOnce sync.Once
+	rule     *digitRule
+	ruleErr  error
 }
 
 // newNetwork assembles the shared structure given the family's
@@ -238,21 +245,10 @@ func (w *Network) N() int {
 	return n
 }
 
-// Spec returns the ipg.Spec for materialization.
+// Spec returns the ipg.Spec of the super-IPG: ipg.Build's closure of it
+// is the reference the digit rule is tested against.
 func (w *Network) Spec() ipg.Spec {
 	return ipg.Spec{Name: w.Name(), Seed: w.Seed(), Gens: w.gens}
-}
-
-// Build materializes the super-IPG and verifies the node count is M^l.
-func (w *Network) Build() (*ipg.Graph, error) {
-	g, err := ipg.Build(w.Spec())
-	if err != nil {
-		return nil, err
-	}
-	if g.N() != w.N() {
-		return nil, fmt.Errorf("superipg: %s materialized %d nodes, want %d", w.Name(), g.N(), w.N())
-	}
-	return g, nil
 }
 
 // Undirected returns the undirected graph of g, a materialization of w
@@ -264,36 +260,21 @@ func (w *Network) Build() (*ipg.Graph, error) {
 // groups rigidly (perm.GroupAction); so it is an automorphism.  The maps
 // act regularly, so every orbit has M nodes and exactly one of them has
 // the nucleus seed as its first group.  Those nodes, one per cluster,
-// N/M in all, are the representatives graph.Distances sweeps.  ipg.Build
-// numbers nodes in BFS order, so they are found by their labels, not by
-// arithmetic on ids.  Without a vertex-transitive nucleus the graph is
-// unmarked.
-func (w *Network) Undirected(g *ipg.Graph) *graph.Graph {
+// N/M in all, are the representatives graph.Distances sweeps: the seed
+// has nucleus address 0, so they are the multiples of M.  Without a
+// vertex-transitive nucleus the graph is unmarked.
+func (w *Network) Undirected(g *Graph) *graph.Graph {
 	u := g.Undirected()
 	if !w.Nuc.VertexTransitive() {
 		return u
 	}
-	m := w.SymbolLen()
-	reps := make([]int32, 0, g.N()/w.Nuc.M)
-	var lbl perm.Label
-	for v := 0; v < g.N(); v++ {
-		lbl = g.LabelInto(v, lbl)
-		if bytes.Equal(lbl[:m], w.Nuc.Seed) {
-			//lint:ignore indextrunc node ids are < g.N() <= ipg.MaxNodes (1<<22)
-			reps = append(reps, int32(v))
-		}
+	reps := make([]int32, g.N()/w.Nuc.M)
+	for i := range reps {
+		//lint:ignore indextrunc i*M < g.N() <= ipg.MaxNodes (1<<22)
+		reps[i] = int32(i * w.Nuc.M)
 	}
 	u.MarkOrbits(reps)
 	return u
-}
-
-// MustBuild is Build that panics on error.
-func (w *Network) MustBuild() *ipg.Graph {
-	g, err := w.Build()
-	if err != nil {
-		panic(err)
-	}
-	return g
 }
 
 // BringToFront returns the super-generator word (global generator indices)
@@ -334,21 +315,27 @@ func (w *Network) AddressOf(l perm.Label) (int, error) {
 }
 
 // LabelOf is the inverse of AddressOf.
-func (w *Network) LabelOf(addr int) (perm.Label, error) {
+func (w *Network) LabelOf(addr int) (perm.Label, error) { return w.LabelInto(addr, nil) }
+
+// LabelInto is LabelOf into dst's storage: the label of address addr
+// replaces dst's contents, and dst is reallocated only when it has less
+// room than a label.
+func (w *Network) LabelInto(addr int, dst perm.Label) (perm.Label, error) {
 	if addr < 0 || addr >= w.N() {
 		return nil, fmt.Errorf("superipg: address %d out of range [0,%d)", addr, w.N())
 	}
-	m := w.SymbolLen()
-	out := make(perm.Label, 0, m*w.L)
+	if size := w.SymbolLen() * w.L; cap(dst) < size {
+		dst = make(perm.Label, 0, size)
+	}
+	dst = dst[:0]
 	for i := 0; i < w.L; i++ {
-		g, err := w.Nuc.LabelOf(addr % w.Nuc.M)
-		if err != nil {
+		var err error
+		if dst, err = w.Nuc.AppendLabel(dst, addr%w.Nuc.M); err != nil {
 			return nil, err
 		}
-		out = append(out, g...)
 		addr /= w.Nuc.M
 	}
-	return out, nil
+	return dst, nil
 }
 
 // ClusterKey returns the cluster identifier of a label: the suffix beyond
@@ -356,10 +343,15 @@ func (w *Network) LabelOf(addr int) (perm.Label, error) {
 func (w *Network) ClusterKey(l perm.Label) string { return string(l[w.SymbolLen():]) }
 
 // Clusters partitions the materialized graph into nucleus copies: node v
-// lies in cluster clusterOf[v] of nc.  The intercluster measures below
-// take this partition, so one computation can share it.
-func (w *Network) Clusters(g *ipg.Graph) (clusterOf []int32, nc int) {
-	return g.ClustersBy(w.SymbolLen())
+// lies in cluster clusterOf[v] = v / M of nc = N / M.  The intercluster
+// measures below take this partition, so one computation can share it.
+func (w *Network) Clusters(g *Graph) (clusterOf []int32, nc int) {
+	clusterOf = make([]int32, g.N())
+	for v := range clusterOf {
+		//lint:ignore indextrunc v < g.N() <= ipg.MaxNodes (1<<22)
+		clusterOf[v] = int32(v / w.Nuc.M)
+	}
+	return clusterOf, g.N() / w.Nuc.M
 }
 
 // Quotient returns the cluster graph of g under its partition (Clusters):
@@ -367,7 +359,7 @@ func (w *Network) Clusters(g *ipg.Graph) (clusterOf []int32, nc int) {
 // super-generator link joins them.  Because every cluster is a connected
 // nucleus copy and on-chip moves are free, the intercluster distance
 // between two nodes equals the quotient distance between their clusters.
-func (w *Network) Quotient(g *ipg.Graph, clusterOf []int32, nc int) *graph.Graph {
+func (w *Network) Quotient(g *Graph, clusterOf []int32, nc int) *graph.Graph {
 	return graph.FromStream(nc, func(edge func(u, v int)) {
 		for v := 0; v < g.N(); v++ {
 			for gi := w.nNuc; gi < len(w.gens); gi++ {
@@ -386,7 +378,7 @@ func (w *Network) Quotient(g *ipg.Graph, clusterOf []int32, nc int) *graph.Graph
 // self-pairs (the paper's convention).  Because all clusters have exactly
 // M nodes, the average equals the quotient graph's average distance.  The
 // error is ctx's, if it ends first.
-func (w *Network) InterclusterDistances(ctx context.Context, g *ipg.Graph, clusterOf []int32, nc int) (diameter int, avg float64, err error) {
+func (w *Network) InterclusterDistances(ctx context.Context, g *Graph, clusterOf []int32, nc int) (diameter int, avg float64, err error) {
 	return graph.Distances(ctx, w.Quotient(g, clusterOf, nc))
 }
 
@@ -394,7 +386,7 @@ func (w *Network) InterclusterDistances(ctx context.Context, g *ipg.Graph, clust
 // digraph family (e.g. directed-CN) by BFS over the directed cluster
 // quotient: an arc from cluster A to cluster B exists when some
 // super-generator arc leads from a node of A to a node of B.
-func (w *Network) DirectedInterclusterDiameter(g *ipg.Graph) int {
+func (w *Network) DirectedInterclusterDiameter(g *Graph) int {
 	clusterOf, nc := w.Clusters(g)
 	arcs, err := topo.BuildArcs(nc, func(arc func(u, v int)) {
 		for v := 0; v < g.N(); v++ {
@@ -446,7 +438,7 @@ func (w *Network) InterclusterLinks(u *graph.Graph, clusterOf []int32) int {
 // InterclusterDegree returns the paper's intercluster degree of g under
 // its partition (Clusters): the maximum over clusters of the average
 // number of intercluster links per node of the cluster.
-func (w *Network) InterclusterDegree(g *ipg.Graph, clusterOf []int32, nc int) float64 {
+func (w *Network) InterclusterDegree(g *Graph, clusterOf []int32, nc int) float64 {
 	linkEnds := make([]int, nc)
 	for v := 0; v < g.N(); v++ {
 		for gi := w.nNuc; gi < len(w.gens); gi++ {

@@ -72,6 +72,9 @@ type (
 	Nucleus = nucleus.Nucleus
 	// Network is a super-IPG family instance (HSN, CN, SFN, ...).
 	Network = superipg.Network
+	// SuperGraph is a materialized super-IPG, whose node v is the
+	// mixed-radix address v of its label.
+	SuperGraph = superipg.Graph
 )
 
 // Algorithm and model types.
@@ -198,12 +201,12 @@ var (
 )
 
 // NewFFTRunner prepares an ascend runner carrying complex data.
-func NewFFTRunner(w *Network, g *Graph) (*ascend.Runner[complex128], error) {
+func NewFFTRunner(w *Network, g *SuperGraph) (*ascend.Runner[complex128], error) {
 	return ascend.NewRunner[complex128](w, g)
 }
 
 // NewFloatRunner prepares an ascend runner carrying float64 data.
-func NewFloatRunner(w *Network, g *Graph) (*ascend.Runner[float64], error) {
+func NewFloatRunner(w *Network, g *SuperGraph) (*ascend.Runner[float64], error) {
 	return ascend.NewRunner[float64](w, g)
 }
 
