@@ -116,33 +116,33 @@ func simPinCases(t *testing.T) []simPinCase {
 		{"torus24/M=16", built(BuildTorus2D(24, 4, 8))},
 	}
 	want := map[string]uint64{
-		"random/HSN(3,Q3)/rate=0.1":       0x616543bc7e6486a9,
-		"random/HSN(3,Q3)/rate=0.4":       0x6cb6dcc3b0291660,
-		"random/HSN(3,Q3)/rate=1.5":       0xca0cd8e252104df,
-		"random/SFN(3,Q3)/rate=0.1":       0xd35311574ce467f4,
-		"random/SFN(3,Q3)/rate=0.4":       0xc6519a001faa3865,
-		"random/SFN(3,Q3)/rate=1.5":       0x814a0ea08984644c,
-		"random/ring-CN(3,Q3)/rate=0.1":   0xf643029e8ba62db5,
-		"random/ring-CN(3,Q3)/rate=0.4":   0x388bd160e214b5f7,
-		"random/ring-CN(3,Q3)/rate=1.5":   0x593ae9a123adf009,
+		"random/HSN(3,Q3)/rate=0.1":       0x1a354a8f9b32acf3,
+		"random/HSN(3,Q3)/rate=0.4":       0xe4d43957f67022bb,
+		"random/HSN(3,Q3)/rate=1.5":       0x4661dda8c4600c91,
+		"random/SFN(3,Q3)/rate=0.1":       0xc81a3ef7be2ac0a8,
+		"random/SFN(3,Q3)/rate=0.4":       0xccc4aff3c909987c,
+		"random/SFN(3,Q3)/rate=1.5":       0x995844738cc6e2fa,
+		"random/ring-CN(3,Q3)/rate=0.1":   0x3f0cc2878dc63ae4,
+		"random/ring-CN(3,Q3)/rate=0.4":   0xb18cb458beb4e37f,
+		"random/ring-CN(3,Q3)/rate=1.5":   0xd99c67e5b708d976,
 		"random/Q9/M=8/rate=0.1":          0x730be6e6ba1e5c0c,
 		"random/Q9/M=8/rate=0.4":          0x1f0121dfc9144330,
 		"random/Q9/M=8/rate=1.5":          0x5e937ba5341799cc,
 		"random/torus24/M=16/rate=0.1":    0xa425e0f6d3092855,
 		"random/torus24/M=16/rate=0.4":    0xa47a0d0f7d096134,
 		"random/torus24/M=16/rate=1.5":    0xde87efc51f8f9e15,
-		"random/complete-CN(3,Q2)":        0xe724df262d7572fc,
-		"random/HSN(3,Q2)/node/oblivious": 0x32ac74d5b535e62d,
-		"random/HSN(3,Q2)/node/aware":     0x89fa80288721e198,
-		"random/HSN(3,Q2)/link/oblivious": 0x34acab468a7f3f58,
-		"random/HSN(3,Q2)/link/aware":     0x6e68682bf9a27755,
-		"random/HSN(3,Q2)/chip/oblivious": 0x4b68f8a44c03f608,
-		"random/HSN(3,Q2)/chip/aware":     0x812b5d10e489d0af,
-		"te/HSN(3,Q2)":                    0x8a8d7da69c9be1f3,
-		"te/HSN(3,Q2)/nodes/aware":        0x4f52d48c65e3072a,
+		"random/complete-CN(3,Q2)":        0xd9facc8d861a98dc,
+		"random/HSN(3,Q2)/node/oblivious": 0x7c2d44c6bd5233fe,
+		"random/HSN(3,Q2)/node/aware":     0x3258b28b69699706,
+		"random/HSN(3,Q2)/link/oblivious": 0xab20ae4b3e21745d,
+		"random/HSN(3,Q2)/link/aware":     0xd236e6e71662d4b0,
+		"random/HSN(3,Q2)/chip/oblivious": 0xef2b50b7147d866,
+		"random/HSN(3,Q2)/chip/aware":     0xc4be05903e027393,
+		"te/HSN(3,Q2)":                    0x149f0892e6327540,
+		"te/HSN(3,Q2)/nodes/aware":        0xd255d799a0895585,
 		"transpose/Q8/M=4":                0x21b23dd90e1ea5f5,
 		"te/Q5/single-port":               0xd0720cd3c5dd1f41,
-		"probe/HSN(3,Q3)":                 0x6ba45ace72fc94f7,
+		"probe/HSN(3,Q3)":                 0xc3813094dac2823f,
 		"probe/torus24/M=16":              0x2e7b6c249156a405,
 	}
 	var cases []simPinCase

@@ -127,11 +127,11 @@ func routeDigest(h interface{ Write([]byte) (int, error) }, path []int) {
 // captured from the full-BFS-then-walk-back implementation: the first
 // neighbour in row order one hop closer to src, walked from dst.
 var routePins = map[string]string{
-	"HSN(3,Q2)":         "e4c99d470c26ba24",
-	"ring-CN(3,Q3)":     "3013ddb686518556",
-	"complete-CN(3,Q3)": "3013ddb686518556", // at l = 3, R1 = L2: the same generators
-	"SFN(2,Q4)":         "674ac34db44260fd",
-	"HSN(3,Q4)":         "5a99a52229649a22",
+	"HSN(3,Q2)":         "603adf7baeb8d119",
+	"ring-CN(3,Q3)":     "50d004642bfee5a8",
+	"complete-CN(3,Q3)": "50d004642bfee5a8", // at l = 3, R1 = L2: the same generators
+	"SFN(2,Q4)":         "11f839368ab83d35",
+	"HSN(3,Q4)":         "f0c83846a03afa55",
 	"Q10":               "7c272afa60e23a54",
 	"32-ary 2-cube":     "8e180098fdb1cc7d",
 	"CCC(8)":            "8d16b3e8567aef47",
