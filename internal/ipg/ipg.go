@@ -8,6 +8,12 @@
 // symbols; allowing repeats is exactly the extension that yields
 // super-IPGs, hierarchical swap networks, cyclic networks, and the other
 // families studied in the paper.
+//
+// Build materializes an IPG by breadth-first closure, numbering nodes in
+// BFS order and keeping one byte per label symbol.  It builds nuclei and
+// generic IPGs, and it is the reference that internal/superipg's digit
+// rule is tested against: super-IPGs number their nodes by address and
+// get their adjacency from that rule, held in the same Adjacency.
 package ipg
 
 import (
@@ -91,7 +97,7 @@ func (a *Adjacency) MemoryFootprint() int64 { return int64(cap(a.adj)) * 4 }
 func (a *Adjacency) Undirected() *graph.Graph {
 	return graph.FromStream(a.n, func(edge func(u, v int)) {
 		//lint:ignore ctxflow the arc stream is bounded by MaxNodes (1<<22) times the generator count and runs once per artifact under serve's build timeout
-		for v := 0; v < a.n; v++ {
+		for v := 0; v < a.N(); v++ {
 			for _, w := range a.adj[v*a.gens : (v+1)*a.gens] {
 				if int(w) != v {
 					edge(v, int(w))
@@ -135,7 +141,6 @@ func Build(spec Spec) (*Graph, error) {
 	g.resize(minTable)
 	g.insert(spec.Seed, g.slot(spec.Seed))
 	scratch := make(perm.Label, g.width)
-	//lint:ignore ctxflow the closure is capped at MaxNodes (1<<22) nodes and runs once per artifact under serve's build timeout
 	for head := 0; head < g.N(); head++ {
 		// A view, not a copy: appends below may move the arena, but the
 		// old backing array keeps this label intact.

@@ -38,6 +38,9 @@
 // distance rows per pass, and the routers pick the lowest alive port onto
 // a shortest path.  On a healthy super-IPG over a vertex-transitive
 // nucleus the TableRouter keeps the rows of one destination per cluster.
+// Super-IPG node ids are addresses (internal/superipg's digit rule), so
+// HSNRouter reads each node's digits and those destinations are the
+// multiples of the nucleus size.
 //
 // Unlike the metric kernels in internal/topo and internal/graph, the
 // simulator is not generic over topo.Source: a simulation's per-node

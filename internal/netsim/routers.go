@@ -70,7 +70,7 @@ func NewHSNRouter(w *superipg.Network, g *superipg.Graph) (*HSNRouter, error) {
 		return nil, fmt.Errorf("netsim: HSNRouter supports swap families, not %s", w.Family)
 	}
 	// The nucleus table is an all-pairs table like TableRouter's, so it
-	// takes the same bound (which also fits the uint16 group ids).
+	// takes the same bound (which also fits the uint16 digits).
 	if err := checkTableSize(w.Nuc.M, "HSNRouter nucleus"); err != nil {
 		return nil, err
 	}
@@ -83,10 +83,10 @@ func NewHSNRouter(w *superipg.Network, g *superipg.Graph) (*HSNRouter, error) {
 	}
 	r := &HSNRouter{w: w, l: w.L, nucM: ng.N()}
 	r.group = make([]uint16, g.N()*w.L)
-	for v := 0; v < g.N(); v++ {
-		a := v
-		for i := range r.group[v*w.L : (v+1)*w.L] {
-			r.group[v*w.L+i] = uint16(a % r.nucM) // a digit, below M <= 16384 (checkTableSize)
+	for v := range g.N() {
+		digits, a := r.group[v*w.L:(v+1)*w.L], v
+		for i := range digits {
+			digits[i] = uint16(a % r.nucM) // below M <= 16384 (checkTableSize)
 			a /= r.nucM
 		}
 	}
@@ -98,11 +98,11 @@ func NewHSNRouter(w *superipg.Network, g *superipg.Graph) (*HSNRouter, error) {
 
 // nucleusNextGen builds the all-pairs next-generator table of the nucleus
 // adjacency ng, named name, by the core's reverse BFS from every
-// destination.  The reverse
-// arcs into v are v's generator images in generator order, each carrying
-// the lowest generator that leads back to v (the nucleus generator sets
-// here are inverse-closed, so the images of v are exactly the nodes with
-// an arc to v); that order fixes the table's tie-breaks.
+// destination.  The reverse arcs into v are v's generator images in
+// generator order, each carrying the lowest generator that leads back to
+// v (the nucleus generator sets here are inverse-closed, so the images of
+// v are exactly the nodes with an arc to v); that order fixes the table's
+// tie-breaks.
 func nucleusNextGen(ng *ipg.Adjacency, name string) ([]int16, error) {
 	M := ng.N()
 	if err := checkNodeCount(M); err != nil {

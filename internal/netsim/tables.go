@@ -219,13 +219,13 @@ func minimalPort(net *Network, dist []int16, u int) int {
 // map carrying s to the nucleus seed; it carries every node whose first
 // group is s to a representative, a node whose first group is the seed.
 type orbitMaps struct {
-	// reps lists the representatives in ascending id order, one per
+	// reps lists the representatives, the multiples of M, one per
 	// cluster: N/M in all.
 	reps []int32
 	// sigma[s*n+v] is σ_s(v).
 	sigma []uint16
-	// state[v] is the nucleus state of v's first group, and row[v] the
-	// index in reps of σ_state[v](v).
+	// state[v] is v's nucleus state, the address of its first group
+	// (v % M), and row[v] the index in reps of σ_state[v](v).
 	state, row []uint16
 }
 

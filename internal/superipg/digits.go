@@ -1,5 +1,8 @@
 package superipg
 
+//lint:file-ignore ctxflow the rule's loops cover the nucleus table (M x nucleus generators), an address's L <= 30 digits and one row's generators; Build's walk is capped at ipg.MaxNodes and runs once per artifact under serve's build timeout
+//lint:file-ignore indextrunc addresses and digits are below N <= topo.MaxVertices (math.MaxInt32), checked in newDigitRule
+
 import (
 	"fmt"
 
@@ -77,7 +80,6 @@ func newDigitRule(w *Network) (*digitRule, error) {
 			if err != nil || !back.Equal(img) {
 				return nil, fmt.Errorf("superipg: nucleus %s: generator %s takes address %d off the numbering", nu.Name, g.Name, a)
 			}
-			//lint:ignore indextrunc b < M <= topo.MaxVertices (math.MaxInt32), checked above
 			r.nuc[a*r.gens+j] = int32(b)
 		}
 	}
@@ -87,7 +89,6 @@ func newDigitRule(w *Network) (*digitRule, error) {
 // digits writes the L digits of address v into d.
 func (r *digitRule) digits(v int, d []int32) {
 	for i := range d {
-		//lint:ignore indextrunc a digit is below M <= topo.MaxVertices (math.MaxInt32)
 		d[i] = int32(v % r.m)
 		v /= r.m
 	}
@@ -97,7 +98,6 @@ func (r *digitRule) digits(v int, d []int32) {
 // first, given v's digits d.
 func (r *digitRule) appendRow(buf []int32, v int, d []int32) []int32 {
 	d0 := int(d[0])
-	//lint:ignore indextrunc v < n <= topo.MaxVertices (math.MaxInt32), checked in newDigitRule
 	base := int32(v - d0)
 	for _, a := range r.nuc[d0*r.gens : (d0+1)*r.gens] {
 		buf = append(buf, base+a)
@@ -107,7 +107,6 @@ func (r *digitRule) appendRow(buf []int32, v int, d []int32) []int32 {
 		for i, src := range act {
 			u += int(d[src]) * r.pow[i]
 		}
-		//lint:ignore indextrunc u < n <= topo.MaxVertices (math.MaxInt32), checked in newDigitRule
 		buf = append(buf, int32(u))
 	}
 	return buf
