@@ -38,7 +38,7 @@ func csrGoldens() []csrGolden {
 	// Distances check below covers the one-node-per-cluster sweep.  Their
 	// nodes are numbered by address, and the seeded bisection search
 	// draws its starts in node order, so HSN's and SFN's cuts are those
-	// of the address numbering (the BFS numbering drew 18).
+	// of the address numbering.
 	view := func(w *superipg.Network) *graph.Graph { return w.Undirected(w.MustBuild()) }
 	return []csrGolden{
 		{

@@ -144,9 +144,9 @@ func CompleteBinaryTree(d int) *Embedding {
 // IntoSuperIPG composes a hypercube embedding with the identity
 // label-space embedding of the ln-cube into a hypercube-nucleus super-IPG
 // (the HPN(l, Q_n) of Theorem 3.1): host vertex h of the cube maps to the
-// super-IPG node whose address is h, which is node h.  The composition multiplies dilation
-// by at most the SDC slowdown (3 for HSN/complete-CN/SFN), per Corollary
-// 3.4.
+// super-IPG node whose address is h, which is node h.  The composition
+// multiplies dilation by at most the SDC slowdown (3 for
+// HSN/complete-CN/SFN), per Corollary 3.4.
 func IntoSuperIPG(e *Embedding, w *superipg.Network, g *superipg.Graph) (*Embedding, error) {
 	logN := 0
 	for 1<<logN < g.N() {

@@ -78,7 +78,9 @@ func digitRuleCases(t *testing.T) []*superipg.Network {
 // super-IPG gets its adjacency, against the map-based reference closure
 // relabeled by AddressOf: the same nodes, with node 0 the seed, and the
 // same node behind every port, self-loops included, both in a built
-// Graph and in the rows of the implicit codec.
+// Graph and in the rows of the implicit codec.  It also checks that the
+// clusters v / M are exactly the classes of nodes sharing every group
+// beyond the first.
 func TestDigitRuleMatchesReference(t *testing.T) {
 	cases := digitRuleCases(t)
 	if len(cases) != 89 {
@@ -105,6 +107,21 @@ func TestDigitRuleMatchesReference(t *testing.T) {
 			if addr[v] = g.NodeID(l); addr[v] < 0 || !g.Label(addr[v]).Equal(l) {
 				t.Fatalf("%s: reference node %d (%v) has address %d", w.Name(), v, l, addr[v])
 			}
+		}
+		clusterOf, nc := w.Clusters(g)
+		byKey, byCluster := map[string]int32{}, map[int32]string{}
+		for v, c := range clusterOf {
+			key := w.ClusterKey(g.Label(v))
+			if k, ok := byCluster[c]; ok && k != key {
+				t.Fatalf("%s: cluster %d holds suffixes %q and %q", w.Name(), c, k, key)
+			}
+			if d, ok := byKey[key]; ok && d != c {
+				t.Fatalf("%s: suffix %q lies in clusters %d and %d", w.Name(), key, d, c)
+			}
+			byKey[key], byCluster[c] = c, key
+		}
+		if len(byKey) != nc {
+			t.Fatalf("%s: %d clusters, %d suffixes", w.Name(), nc, len(byKey))
 		}
 		ng := g.NumGens()
 		var row []int32

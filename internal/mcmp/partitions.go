@@ -160,9 +160,9 @@ func ClusterSuperIPG(w *superipg.Network, g *superipg.Graph) (*Clustered, error)
 
 // SuperIPGBisection splits the super-IPG by the value of group 2: nodes
 // whose second super-symbol encodes a nucleus address below M/2, digit 1
-// of their address, go to side 0.  For HSN and SFN this cuts exactly N/4 links (only the T2/F2 links
-// whose two labels disagree on the predicate), the partition behind
-// Corollary 4.8.
+// of their address, go to side 0.  For HSN and SFN this cuts exactly N/4
+// links (only the T2/F2 links whose two labels disagree on the
+// predicate), the partition behind Corollary 4.8.
 func SuperIPGBisection(w *superipg.Network, g *superipg.Graph, c *Clustered) ([]int8, error) {
 	M := w.Nuc.M
 	side := make([]int8, c.Chips)

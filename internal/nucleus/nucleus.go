@@ -83,7 +83,8 @@ func (nu *Nucleus) VertexTransitive() bool { return nu.vt }
 // Addressable reports whether AddressOf/LabelOf form a bijection between
 // [0, M) and the nucleus node set — true for dimensionable nuclei, for
 // nuclei with a closed-form rank, and for explicitly enumerated ones.
-// The implicit super-IPG adjacency requires an addressable nucleus.
+// Every constructor gives an addressable nucleus, and super-IPGs require
+// one: their nodes are numbered by nucleus addresses.
 func (nu *Nucleus) Addressable() bool {
 	return len(nu.Dims) > 0 || nu.rankFn != nil || nu.enumLabels != nil
 }

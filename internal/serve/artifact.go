@@ -128,9 +128,10 @@ func (a *Artifact) Source() topo.Source {
 // BuildArtifact constructs the topology named by p with the default
 // hybrid policy: instances up to maxNodes are materialized as CSR
 // arenas, larger ones fall back to the implicit codec representation
-// where the family has one (all baselines; super-IPGs with addressable
-// nuclei), and the rest are served as label-level skeletons (super-IPGs
-// only — a baseline with no codec and no arena is an error).
+// where the family has one (all baselines; super-IPGs whose addresses
+// fit int32 vertex ids), and the rest are served as label-level
+// skeletons (super-IPGs only — a baseline with no codec and no arena is
+// an error).
 func BuildArtifact(ctx context.Context, p Params, maxNodes int) (*Artifact, error) {
 	return BuildArtifactThreshold(ctx, p, maxNodes, 0)
 }
@@ -168,9 +169,9 @@ func buildSuper(ctx context.Context, p Params, f *family, implicitOver int) (*Ar
 	a := &Artifact{Params: p, W: w, Name: w.Name(), N: w.N()}
 	if a.N > implicitOver {
 		// Too large (or configured) for the arena: the address codec
-		// serves full adjacency with O(1) resident memory when the
-		// nucleus is addressable; otherwise fall back to the label-level
-		// skeleton.
+		// serves full adjacency, holding only the digit rule's nucleus
+		// table, when the addresses fit int32; otherwise fall back to the
+		// label-level skeleton.
 		if im, err := w.Implicit(); err == nil {
 			a.Impl = im
 			a.Representation = RepImplicit
