@@ -2,30 +2,6 @@ package nucleus
 
 import "fmt"
 
-// Digit returns the digit of dimension d encoded in the nucleus label l.
-func (nu *Nucleus) Digit(l []byte, d int) (int, error) {
-	if d < 0 || d >= len(nu.Dims) {
-		return 0, fmt.Errorf("nucleus %s: dimension %d out of range", nu.Name, d)
-	}
-	return nu.digitOf(l, &nu.Dims[d])
-}
-
-// SetDigit overwrites dimension d of the label l (in place) with the given
-// digit value.
-func (nu *Nucleus) SetDigit(l []byte, d, digit int) error {
-	if d < 0 || d >= len(nu.Dims) {
-		return fmt.Errorf("nucleus %s: dimension %d out of range", nu.Name, d)
-	}
-	dim := &nu.Dims[d]
-	if digit < 0 || digit >= dim.Radix {
-		return fmt.Errorf("nucleus %s: digit %d out of range for radix %d", nu.Name, digit, dim.Radix)
-	}
-	for k := 0; k < dim.symbols; k++ {
-		l[dim.offset+k] = nu.Seed[dim.offset+(k+digit)%dim.symbols]
-	}
-	return nil
-}
-
 // DimBits returns log2(radix) of dimension d, or an error if the radix is
 // not a power of two (ascend/descend algorithms require power-of-two
 // radices, as in Theorem 3.5's assumption that |G| is a power of 2).

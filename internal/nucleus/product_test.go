@@ -73,35 +73,6 @@ func TestPowerMatchesHypercube(t *testing.T) {
 	}
 }
 
-func TestDigitsAccessors(t *testing.T) {
-	nu := GeneralizedHypercube(4, 2)
-	l, err := nu.LabelOf(5) // digits: d0 = 1, d1 = 1
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d, err := nu.Digit(l, 0); err != nil || d != 1 {
-		t.Errorf("digit 0 = %d, %v", d, err)
-	}
-	if d, err := nu.Digit(l, 1); err != nil || d != 1 {
-		t.Errorf("digit 1 = %d, %v", d, err)
-	}
-	if err := nu.SetDigit(l, 0, 3); err != nil {
-		t.Fatal(err)
-	}
-	if a, _ := nu.AddressOf(l); a != 7 {
-		t.Errorf("after SetDigit address = %d, want 7", a)
-	}
-	if _, err := nu.Digit(l, 9); err == nil {
-		t.Error("out-of-range dim should error")
-	}
-	if err := nu.SetDigit(l, 0, 9); err == nil {
-		t.Error("out-of-range digit should error")
-	}
-	if err := nu.SetDigit(l, 9, 0); err == nil {
-		t.Error("out-of-range dim should error")
-	}
-}
-
 func TestDimBitsAndTotalBits(t *testing.T) {
 	nu := GeneralizedHypercube(4, 2, 8)
 	want := []int{2, 1, 3}
