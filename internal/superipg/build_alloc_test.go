@@ -7,9 +7,8 @@ import (
 )
 
 // TestBuildAllocations holds the materialization of HSN(3,Q4) (4,096
-// nodes) to a bounded number of allocations: the label arena, its table
-// and the adjacency each grow by doubling or by append's growth steps,
-// instead of one label and one map entry per node.
+// nodes) to a bounded number of allocations: the digit rule fills one
+// adjacency array sized up front, with no label or map entry per node.
 func TestBuildAllocations(t *testing.T) {
 	w := HSN(3, nucleus.Hypercube(4))
 	allocs := testing.AllocsPerRun(5, func() {
